@@ -1,13 +1,15 @@
 //! Component throughput benchmarks: the substrates the reproduction is
-//! built on — encoders, the pipeline interpreter, the cache simulator, and
-//! the compiler itself. Plain `fn main()` on the in-repo harness
-//! (`d16_bench::harness`); run with `cargo bench -p d16-bench`.
+//! built on — encoders, both execution engines, the cache simulator and
+//! the cache-grid bank, and the compiler itself. Plain `fn main()` on the
+//! in-repo harness (`d16_bench::harness`); run with
+//! `cargo bench -p d16-bench`.
 
-use d16_bench::harness::{bench, bench_throughput};
+use d16_bench::harness::{bench, bench_throughput, quiet_bench};
 use d16_cc::TargetSpec;
+use d16_core::experiments::cache_grid_configs;
 use d16_isa::{AluOp, Gpr, Insn, Isa};
-use d16_mem::CacheSystem;
-use d16_sim::{AccessSink, Machine, NullSink};
+use d16_mem::{CacheBank, CacheSystem};
+use d16_sim::{AccessSink, Engine, Machine, NullSink};
 use std::hint::black_box;
 
 fn bench_encoders() {
@@ -46,11 +48,14 @@ fn bench_pipeline() {
         let mut probe = Machine::load(&image);
         probe.run(u64::MAX / 2, &mut NullSink).unwrap();
         let insns = probe.stats().insns;
-        bench_throughput(&format!("pipeline/towers_{}", spec.isa.name()), 20, insns, || {
-            let mut m = Machine::load(&image);
-            m.run(u64::MAX / 2, &mut NullSink).unwrap();
-            black_box(m.stats().insns)
-        });
+        for engine in [Engine::Interp, Engine::Blocks] {
+            let name = format!("pipeline/towers_{}_{}", spec.isa.name(), engine.name());
+            bench_throughput(&name, 20, insns, || {
+                let mut m = Machine::load(&image);
+                m.run_with(engine, u64::MAX / 2, &mut NullSink).unwrap();
+                black_box(m.stats().insns)
+            });
+        }
     }
 }
 
@@ -65,6 +70,21 @@ fn bench_cache_replay() {
         rec.replay(&mut cs);
         black_box(cs.total_misses())
     });
+    // The repro cache-grid kernel: one pass of the trace through all 20
+    // grid configurations. Reported as ns per record.
+    let configs = cache_grid_configs();
+    let grid = quiet_bench("cache/bank_grid_20", 10, || {
+        let mut bank = CacheBank::symmetric(&configs).unwrap();
+        rec.replay(&mut bank);
+        black_box(bank.systems()[0].total_misses())
+    });
+    println!(
+        "{:<44} {:>9.1} ns/record  ({} records x {} configs)",
+        "cache/bank_grid_20",
+        grid.mean_ns as f64 / rec.len() as f64,
+        rec.len(),
+        configs.len()
+    );
 }
 
 fn bench_compiler() {

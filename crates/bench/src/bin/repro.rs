@@ -375,32 +375,53 @@ fn main() {
         eprintln!("skipped ({w}, {t}): {reason}");
     }
 
-    // --- warm the single-pass cache grids (the other timed phase) ------
-    let trace_keys: Vec<(String, Isa)> = suite
-        .traces
-        .keys()
-        .map(|(w, isa)| {
-            let isa = match isa.as_str() {
-                "D16" => Isa::D16,
-                "D16x" => Isa::D16x,
-                _ => Isa::Dlxe,
-            };
-            (w.clone(), isa)
-        })
-        .collect();
+    // --- the post-collection pool (the other timed phase) --------------
+    // Every cache-grid sweep (longest trace first) plus the sweeps whose
+    // tables print later run as one task set on the --jobs pool; the
+    // blocks below then print from the results in the usual order.
+    let mut tasks: Vec<Task> =
+        suite.grid_keys().into_iter().map(|(w, isa)| Task::Grid(w, isa)).collect();
+    let grid_count = tasks.len();
+    if tables.contains(&4) {
+        tasks.push(Task::Table4);
+    }
+    if fpu_sweep || all {
+        tasks.extend(FPU_SWEEP_WORKLOADS.map(Task::Fpu));
+    }
+    if pipeline_sweep || all {
+        tasks.extend(PIPELINE_SWEEP_WORKLOADS.map(Task::Pipeline));
+    }
     let start = Instant::now();
-    for (w, isa) in &trace_keys {
-        if let Err(e) = suite.cache_grid(w, *isa) {
-            eprintln!("skipped ({w}, grid {isa}): {e}");
-            skips.push((w.clone(), format!("grid {isa}"), e.to_string()));
+    let done = d16_core::pool::map(&tasks, jobs, |task| match task {
+        Task::Grid(w, isa) => Done::Grid(w.clone(), *isa, suite.cache_grid(w, *isa).map(drop)),
+        Task::Table4 => Done::Table4(ex::table4_immediate_profile_stored(store.as_deref())),
+        Task::Fpu(w) => Done::Fpu(w, ex::fpu_latency_sweep_stored(w, store.as_deref())),
+        Task::Pipeline(w) => Done::Pipeline(w, ex::pipeline_sweep_stored(w, store.as_deref())),
+    });
+    let grid_ns = start.elapsed().as_nanos();
+    let mut sweeps = Sweeps::default();
+    let mut grid_failures = Vec::new();
+    for d in done {
+        match d {
+            Done::Grid(w, isa, Err(e)) => grid_failures.push((w, isa, e)),
+            Done::Grid(_, _, Ok(())) => {}
+            Done::Table4(r) => sweeps.table4 = Some(r),
+            Done::Fpu(w, r) => sweeps.fpu.push((w, r)),
+            Done::Pipeline(w, r) => sweeps.pipeline.push((w, r)),
         }
     }
-    let grid_ns = start.elapsed().as_nanos();
-    if !trace_keys.is_empty() {
+    // Diagnose failed grids in trace-key order, whatever order they ran in.
+    grid_failures.sort_by(|(wa, ia, _), (wb, ib, _)| (wa, ia.name()).cmp(&(wb, ib.name())));
+    for (w, isa, e) in grid_failures {
+        eprintln!("skipped ({w}, grid {isa}): {e}");
+        skips.push((w, format!("grid {isa}"), e.to_string()));
+    }
+    if !tasks.is_empty() {
+        let sweep_count = tasks.len() - grid_count;
         eprintln!(
-            "cache grids ({} traces x {} configs) in {:.1}s",
-            trace_keys.len(),
+            "cache grids ({grid_count} traces x {} configs){} in {:.1}s",
             ex::cache_grid_configs().len(),
+            if sweep_count > 0 { format!(" and {sweep_count} sweeps") } else { String::new() },
             grid_ns as f64 / 1e9
         );
     }
@@ -413,14 +434,14 @@ fn main() {
         }
     }
     for t in &tables {
-        for (w, reason) in print_table(&suite, *t, store.as_deref()) {
+        for (w, reason) in print_table(&suite, *t, &sweeps) {
             let target = format!("table {t}");
             eprintln!("skipped ({w}, {target}): {reason}");
             skips.push((w, target, reason));
         }
     }
     if fpu_sweep || all {
-        for (w, reason) in print_fpu_sweep(store.as_deref()) {
+        for (w, reason) in print_fpu_sweep(&sweeps.fpu) {
             eprintln!("skipped ({w}, fpu sweep): {reason}");
             skips.push((w, "fpu sweep".to_string(), reason));
         }
@@ -432,7 +453,7 @@ fn main() {
     // blocks of a regenerated results.txt stay byte-identical to runs
     // that predate the sweep.
     if pipeline_sweep || all {
-        for (w, reason) in print_pipeline_sweep(store.as_deref()) {
+        for (w, reason) in print_pipeline_sweep(&sweeps.pipeline) {
             eprintln!("skipped ({w}, pipeline sweep): {reason}");
             skips.push((w, "pipeline sweep".to_string(), reason));
         }
@@ -569,13 +590,49 @@ fn fault_skip(e: &d16_core::SuiteError) -> bool {
     !matches!(e, SuiteError::MissingCell { .. } | SuiteError::MissingTrace { .. })
 }
 
+/// The workloads of the FPU-latency sweep, in print order.
+const FPU_SWEEP_WORKLOADS: [&str; 2] = ["whetstone", "linpack"];
+/// The workloads of the pipeline sweep, in print order.
+const PIPELINE_SWEEP_WORKLOADS: [&str; 2] = ["towers", "assem"];
+
+/// One task of the post-collection pool.
+enum Task {
+    /// Warm one (workload, ISA) cache grid.
+    Grid(String, Isa),
+    /// Table 4's immediate-field profile.
+    Table4,
+    /// One workload's FPU-latency sweep.
+    Fpu(&'static str),
+    /// One workload's pipeline sweep.
+    Pipeline(&'static str),
+}
+
+/// A finished [`Task`], carrying what it ran on.
+enum Done {
+    Grid(String, Isa, Result<(), d16_core::SuiteError>),
+    Table4(Result<ex::Table4, (String, String)>),
+    Fpu(&'static str, Result<Vec<ex::FpuSweepPoint>, String>),
+    Pipeline(&'static str, Result<Vec<ex::PipelineSweepRow>, String>),
+}
+
+/// The sweep results the post-collection pool computed for the blocks
+/// printed after it, each list in print order.
+#[derive(Default)]
+struct Sweeps {
+    table4: Option<Result<ex::Table4, (String, String)>>,
+    fpu: Vec<(&'static str, Result<Vec<ex::FpuSweepPoint>, String>)>,
+    pipeline: Vec<(&'static str, Result<Vec<ex::PipelineSweepRow>, String>)>,
+}
+
 /// Extension beyond the paper: how sensitive is the comparison to the FPU
 /// ("math unit") latency the prototype interface fixes? Returns the
 /// `(workload, reason)` of every sweep that had to be skipped.
-fn print_fpu_sweep(store: Option<&Store>) -> Vec<(String, String)> {
+fn print_fpu_sweep(
+    results: &[(&str, Result<Vec<ex::FpuSweepPoint>, String>)],
+) -> Vec<(String, String)> {
     let mut skips = Vec::new();
-    for w in ["whetstone", "linpack"] {
-        match ex::fpu_latency_sweep_stored(w, store) {
+    for (w, result) in results {
+        match result {
             Ok(points) => {
                 let mut t = Table::new(
                     &format!("Extension: FPU-latency sensitivity, {w} (base cycles)"),
@@ -593,7 +650,7 @@ fn print_fpu_sweep(store: Option<&Store>) -> Vec<(String, String)> {
                 }
                 println!("{}", t.render());
             }
-            Err(e) => skips.push((w.to_string(), e)),
+            Err(e) => skips.push((w.to_string(), e.clone())),
         }
     }
     skips
@@ -602,12 +659,14 @@ fn print_fpu_sweep(store: Option<&Store>) -> Vec<(String, String)> {
 /// Extension beyond the paper: retime every standard target across the
 /// pipeline depth × predictor grid (one interpreter pass per target; see
 /// DESIGN.md §14). Returns the `(workload, reason)` of skipped sweeps.
-fn print_pipeline_sweep(store: Option<&Store>) -> Vec<(String, String)> {
+fn print_pipeline_sweep(
+    results: &[(&str, Result<Vec<ex::PipelineSweepRow>, String>)],
+) -> Vec<(String, String)> {
     let mut skips = Vec::new();
-    for w in ["towers", "assem"] {
-        match ex::pipeline_sweep_stored(w, store) {
+    for (w, result) in results {
+        match result {
             Ok(rows) => {
-                for row in &rows {
+                for row in rows {
                     let mut t = Table::new(
                         &format!(
                             "Extension: pipeline sweep, {w} on {} ({} insns; base cycles)",
@@ -649,13 +708,13 @@ fn print_pipeline_sweep(store: Option<&Store>) -> Vec<(String, String)> {
                     &format!("Extension: fetch traffic across fetch widths, {w} (units)"),
                     &["target", "w=1", "w=2", "w=4"],
                 );
-                for row in &rows {
+                for row in rows {
                     let [u1, u2, u4] = row.sweep.fetch_units;
                     t.row(vec![row.target.clone(), u1.to_string(), u2.to_string(), u4.to_string()]);
                 }
                 println!("{}", t.render());
             }
-            Err(e) => skips.push((w.to_string(), e)),
+            Err(e) => skips.push((w.to_string(), e.clone())),
         }
     }
     skips
@@ -946,7 +1005,7 @@ fn print_fig(suite: &Suite, n: u32) -> Vec<(String, String)> {
 
 /// Prints one table; returns the `(workload, reason)` of every
 /// fault-caused skip (see [`fault_skip`]).
-fn print_table(suite: &Suite, n: u32, store: Option<&Store>) -> Vec<(String, String)> {
+fn print_table(suite: &Suite, n: u32, sweeps: &Sweeps) -> Vec<(String, String)> {
     let mut skips = Vec::new();
     let out = match n {
         3 => {
@@ -965,7 +1024,7 @@ fn print_table(suite: &Suite, n: u32, store: Option<&Store>) -> Vec<(String, Str
             t.row(vec!["AVERAGE".into(), pct(a / nrows), pct(b / nrows)]);
             t.render()
         }
-        4 => match ex::table4_immediate_profile_stored(store) {
+        4 => match sweeps.table4.as_ref().expect("table 4 ran on the post-collection pool") {
             Ok(t4) => {
                 let mut t = Table::new(
                     "Table 4: average immediate-field instruction frequencies",

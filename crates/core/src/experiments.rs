@@ -9,7 +9,7 @@ use crate::suite::{Suite, SuiteError};
 use d16_cc::TargetSpec;
 use d16_isa::{EncodingParams, Insn, Isa};
 use d16_mem::{CacheConfig, CacheSystem};
-use d16_sim::{AccessSink, Machine, NullSink};
+use d16_sim::{AccessSink, Engine, Machine, NullSink};
 use d16_workloads::SUITE;
 use std::collections::BTreeMap;
 
@@ -242,7 +242,7 @@ pub fn table4_immediate_profile_stored(
     let mut acc = Table4::default();
     let mut n = 0usize;
     for w in SUITE {
-        let (cmp, alu, mem, total) = table4_counts(w, &spec, store)?;
+        let (cmp, alu, mem, total) = table4_counts(w, &spec, store, Engine::default())?;
         let t = total as f64;
         acc.cmp_imm_pct += cmp as f64 / t * 100.0;
         acc.alu_imm_pct += alu as f64 / t * 100.0;
@@ -256,11 +256,14 @@ pub fn table4_immediate_profile_stored(
 }
 
 /// One workload's `(cmp, alu, mem, total)` classification counts on the
-/// restricted machine, served from the store when possible.
+/// restricted machine under `engine`, served from the store when
+/// possible. Both engines emit the same fetch stream, so the counts do
+/// not depend on the engine.
 fn table4_counts(
     w: &d16_workloads::Workload,
     spec: &TargetSpec,
     store: Option<&d16_store::Store>,
+    engine: Engine,
 ) -> Result<(u64, u64, u64, u64), (String, String)> {
     let at = store.map(|s| (s, crate::stored::table4_key(w)));
     if let Some((s, key)) = at {
@@ -282,7 +285,8 @@ fn table4_counts(
     let mut sink =
         ClassifySink { decoded, text_base: image.text_base, cmp: 0, alu: 0, mem: 0, total: 0 };
     let mut m = Machine::load(&image);
-    m.run(crate::measure::FUEL, &mut sink).map_err(|e| (w.name.to_string(), e.to_string()))?;
+    m.run_with(engine, crate::measure::FUEL, &mut sink)
+        .map_err(|e| (w.name.to_string(), e.to_string()))?;
     let counts = (sink.cmp, sink.alu, sink.mem, sink.total);
     if let Some((s, key)) = at {
         s.put(crate::stored::TABLE4_KIND, key, &crate::stored::encode_table4(counts));
@@ -1075,4 +1079,20 @@ pub fn d16x_third_curve(suite: &Suite) -> Vec<D16xRow> {
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table4_counts_agree_across_engines() {
+        let spec = TargetSpec::dlxe_restricted(true, true, false);
+        for w in SUITE {
+            let interp = table4_counts(w, &spec, None, Engine::Interp).unwrap();
+            let blocks = table4_counts(w, &spec, None, Engine::Blocks).unwrap();
+            assert_eq!(interp, blocks, "{}: (cmp, alu, mem, total)", w.name);
+            assert!(interp.3 > 0, "{}: classified no instructions", w.name);
+        }
+    }
 }

@@ -17,6 +17,7 @@
 
 pub mod experiments;
 pub mod measure;
+pub mod pool;
 pub mod report;
 pub mod stored;
 pub mod suite;

@@ -118,35 +118,9 @@ pub fn build_stored(
     compile_to_image_stored(&[w.source], spec, store).map_err(MeasureError::Build)
 }
 
-/// A sink that feeds several sinks at once. General-purpose (dynamic)
-/// fan-out; the measurement hot path uses the monomorphized
-/// [`MeasureSink`] instead so the access callbacks inline into the
-/// execution engine.
-pub struct Tee<'a>(pub Vec<&'a mut dyn AccessSink>);
-
-impl AccessSink for Tee<'_> {
-    fn fetch(&mut self, addr: u32, bytes: u8) {
-        for s in &mut self.0 {
-            s.fetch(addr, bytes);
-        }
-    }
-    fn read(&mut self, addr: u32, bytes: u8) {
-        for s in &mut self.0 {
-            s.read(addr, bytes);
-        }
-    }
-    fn write(&mut self, addr: u32, bytes: u8) {
-        for s in &mut self.0 {
-            s.write(addr, bytes);
-        }
-    }
-}
-
 /// The concrete sink stack of one measurement run: both fetch-buffer bus
-/// models plus the optional trace recorder, statically dispatched.
-/// Replacing the `dyn`-based [`Tee`] here keeps every access a direct
-/// (inlinable) call, which matters now that the block engine has removed
-/// the decode overhead around it.
+/// models plus the optional trace recorder, statically dispatched so
+/// every access is a direct (inlinable) call into the execution engine.
 struct MeasureSink<'a> {
     fb32: &'a mut d16_mem::FetchBuffer,
     fb64: &'a mut d16_mem::FetchBuffer,

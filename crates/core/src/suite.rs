@@ -1,13 +1,13 @@
 //! Collecting the full measurement grid: every workload on every target
 //! configuration, plus access traces for the cache benchmarks.
 //!
-//! Collection fans the independent (workload, target) cells over a scoped
-//! worker pool ([`Suite::collect_for_jobs`]); results are assembled in
-//! work-item order, so the collected suite is byte-identical no matter how
-//! many threads ran. Recorded traces feed the cache experiments through a
-//! per-(workload, ISA) memoized single-pass grid replay
-//! ([`Suite::cache_grid`]), so the full 20-configuration cache study walks
-//! each trace exactly once.
+//! Collection fans the independent (workload, target) cells over the
+//! scoped worker pool ([`crate::pool`], via [`Suite::collect_for_jobs`]);
+//! results are assembled in work-item order, so the collected suite is
+//! byte-identical no matter how many threads ran. Recorded traces feed
+//! the cache experiments through a per-(workload, ISA) memoized
+//! single-pass grid replay ([`Suite::cache_grid`]), so the full
+//! 20-configuration cache study walks each trace exactly once.
 
 use crate::measure::{measure_stored_spec, MeasureError, Measurement};
 use d16_cc::TargetSpec;
@@ -21,7 +21,6 @@ use d16_telemetry::{timed, Registry};
 use d16_workloads::{Workload, SUITE};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The five configurations of the paper's grid (Tables 6–7):
@@ -324,49 +323,13 @@ impl Suite {
             })
         };
 
-        let jobs = jobs.max(1).min(items.len().max(1));
-        // Each slot holds the cell result plus the wall time spent
-        // measuring it (the "suite.collect.cell" span).
-        let mut results: Vec<Option<(CellResult, u64)>> = Vec::new();
-        results.resize_with(items.len(), || None);
-        if jobs == 1 {
-            for (slot, item) in results.iter_mut().zip(&items) {
-                *slot = Some(timed(|| run_cell(item)));
-            }
-        } else {
-            // Work-stealing over a shared index; each worker keeps its
-            // finished cells locally and the main thread files them by
-            // index after the scope joins, so no ordering is lost.
-            let next = AtomicUsize::new(0);
-            let finished = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local: Vec<(usize, (CellResult, u64))> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(item) = items.get(i) else { break };
-                                local.push((i, timed(|| run_cell(item))));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                let mut all = Vec::with_capacity(items.len());
-                for h in handles {
-                    all.extend(h.join().expect("collection worker panicked"));
-                }
-                all
-            });
-            for (i, r) in finished {
-                results[i] = Some(r);
-            }
-        }
+        // Each result carries the wall time spent measuring its cell (the
+        // "suite.collect.cell" span).
+        let results = crate::pool::map(&items, jobs, |item| timed(|| run_cell(item)));
 
         let mut suite = Suite { store: store.clone(), ..Suite::default() };
         let mut reg = Registry::new();
-        for (&(wi, si), result) in items.iter().zip(results) {
-            let (result, wall_ns) = result.expect("cell not collected");
+        for (&(wi, si), (result, wall_ns)) in items.iter().zip(results) {
             let w = workloads[wi];
             let (m, trace) = match result {
                 Ok(cell) => cell,
@@ -541,68 +504,101 @@ impl Suite {
     /// read from this; index with
     /// [`crate::experiments::cache_grid_index`].
     ///
+    /// Safe to call from several threads: sweeps of different traces run
+    /// in parallel, and when two calls race on one trace the first to
+    /// finish is memoized and counted in [`Suite::telemetry`]; the other
+    /// result is dropped.
+    ///
     /// # Errors
     ///
     /// [`SuiteError::MissingTrace`] if the trace was never recorded.
     ///
     /// # Panics
     ///
-    /// Panics if the memo lock is poisoned (a prior replay panicked).
+    /// Panics if the memo or telemetry lock is poisoned.
     pub fn cache_grid(
         &self,
         workload: &str,
         isa: Isa,
     ) -> Result<Arc<Vec<CacheSystem>>, SuiteError> {
         let key = (workload.to_string(), isa.name().to_string());
-        let mut memo = self.grid_memo.lock().expect("grid memo poisoned");
-        if let Some(v) = memo.get(&key) {
+        if let Some(v) = self.grid_memo.lock().expect("grid memo poisoned").get(&key) {
             return Ok(Arc::clone(v));
         }
         let trace = self.try_trace(workload, isa)?;
         let prefix = format!("grid.{workload}.{}", isa.name());
 
+        // The sweep runs without the memo lock, so grids of different
+        // traces warm in parallel. Its telemetry goes into a local
+        // registry that is merged only if this call is the one that
+        // memoizes the result.
+        let mut reg = Registry::new();
         // A stored sweep carries the finished systems plus the bank's
         // sweep counters, so the registry ends up with exactly the
         // entries a live replay's `export_telemetry` would have written.
         let stored_at = self.store.as_deref().and_then(|s| {
             d16_workloads::by_name(workload).map(|w| (s, crate::stored::grid_key(w, isa)))
         });
-        if let Some((s, gkey)) = stored_at {
+        let hit = stored_at.and_then(|(s, gkey)| {
             let (hit, load_ns) =
                 timed(|| s.get_with(crate::stored::GRID_KIND, gkey, crate::stored::decode_grid));
-            if let Some((systems, sweep)) = hit {
-                {
-                    let mut reg = self.tele.lock().expect("telemetry lock poisoned");
-                    reg.record_span("suite.cache_grid.sweep", load_ns);
-                    reg.absorb(&prefix, &sweep);
-                    for sys in &systems {
-                        sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
-                    }
-                }
-                let systems = Arc::new(systems);
-                memo.insert(key, Arc::clone(&systems));
-                return Ok(systems);
+            let (systems, sweep) = hit?;
+            reg.record_span("suite.cache_grid.sweep", load_ns);
+            reg.absorb(&prefix, &sweep);
+            for sys in &systems {
+                sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
             }
-        }
+            Some(systems)
+        });
+        let systems = match hit {
+            Some(systems) => systems,
+            None => {
+                let mut bank =
+                    CacheBank::symmetric(&crate::experiments::cache_grid_configs()).map_err(
+                        |source| SuiteError::Config { context: "cache grid".to_string(), source },
+                    )?;
+                let ((), sweep_ns) = timed(|| trace.replay(&mut bank));
+                reg.record_span("suite.cache_grid.sweep", sweep_ns);
+                bank.export_telemetry(&mut reg, &prefix);
+                if let Some((s, gkey)) = stored_at {
+                    s.put(
+                        crate::stored::GRID_KIND,
+                        gkey,
+                        &crate::stored::encode_grid(bank.systems(), bank.telemetry()),
+                    );
+                }
+                bank.into_systems()
+            }
+        };
 
-        let mut bank = CacheBank::symmetric(&crate::experiments::cache_grid_configs())
-            .map_err(|source| SuiteError::Config { context: "cache grid".to_string(), source })?;
-        let ((), sweep_ns) = timed(|| trace.replay(&mut bank));
-        {
-            let mut reg = self.tele.lock().expect("telemetry lock poisoned");
-            reg.record_span("suite.cache_grid.sweep", sweep_ns);
-            bank.export_telemetry(&mut reg, &prefix);
+        // Another thread may have memoized the same key meanwhile: keep
+        // its result and drop this one, telemetry included, so no grid is
+        // counted twice.
+        let mut memo = self.grid_memo.lock().expect("grid memo poisoned");
+        if let Some(v) = memo.get(&key) {
+            return Ok(Arc::clone(v));
         }
-        if let Some((s, gkey)) = stored_at {
-            s.put(
-                crate::stored::GRID_KIND,
-                gkey,
-                &crate::stored::encode_grid(bank.systems(), bank.telemetry()),
-            );
-        }
-        let systems = Arc::new(bank.into_systems());
+        self.tele.lock().expect("telemetry lock poisoned").merge(&reg);
+        let systems = Arc::new(systems);
         memo.insert(key, Arc::clone(&systems));
         Ok(systems)
+    }
+
+    /// The (workload, ISA) of every recorded trace, longest trace first
+    /// (ties in key order): the order to start grid sweeps in on the
+    /// pool, so the longest sweep never starts last.
+    pub fn grid_keys(&self) -> Vec<(String, Isa)> {
+        let mut keys: Vec<(usize, String, Isa)> = self
+            .traces
+            .iter()
+            .filter_map(|((w, name), t)| {
+                let isa =
+                    [Isa::D16, Isa::Dlxe, Isa::D16x].into_iter().find(|i| i.name() == name)?;
+                Some((t.len(), w.clone(), isa))
+            })
+            .collect();
+        keys.sort_by_key(|(len, ..)| std::cmp::Reverse(*len));
+        keys.into_iter().map(|(_, w, isa)| (w, isa)).collect()
     }
 
     /// A snapshot of the suite's merged telemetry: `sim.*` pipeline

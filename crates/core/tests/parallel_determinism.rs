@@ -3,11 +3,16 @@
 //! * collection is byte-identical no matter how many worker threads run;
 //! * the cache experiments sweep each recorded trace exactly once;
 //! * the single-pass grid agrees bit-for-bit with dedicated per-config
-//!   replays (the legacy path).
+//!   replays (the legacy path);
+//! * the post-collection grid warm-up on the pool gives the same grids
+//!   and telemetry for every `jobs`, and a grid raced by two threads is
+//!   counted once.
 
-use d16_core::{base_specs, experiments as ex, standard_specs, Suite};
+use d16_core::{base_specs, experiments as ex, pool, standard_specs, Suite};
 use d16_isa::Isa;
+use d16_telemetry::Registry;
 use d16_workloads::{by_name, Workload};
+use std::sync::Barrier;
 
 fn workloads(names: &[&str]) -> Vec<&'static Workload> {
     names.iter().map(|n| by_name(n).expect("workload")).collect()
@@ -63,4 +68,68 @@ fn single_pass_grid_matches_legacy_replays() {
             assert_eq!(grid[i].dcache(), solo.dcache(), "{isa:?} config {cfg:?}");
         }
     }
+}
+
+/// The deterministic projection of a registry: every counter, then
+/// every span's count (durations are wall-clock).
+fn deterministic(reg: &Registry) -> Vec<(String, u64)> {
+    reg.counters()
+        .map(|(k, v)| (k.to_string(), v))
+        .chain(reg.spans().map(|(k, s)| (format!("span {k}"), s.count)))
+        .collect()
+}
+
+#[test]
+fn pooled_grid_warm_up_is_deterministic() {
+    let ws = workloads(&["assem"]);
+    let mut reference = None;
+    for jobs in [1, 2, 4] {
+        let suite = Suite::collect_for_jobs(&ws, &standard_specs(), true, jobs).unwrap();
+        let keys = suite.grid_keys();
+        assert_eq!(keys.len(), 3, "assem records D16, DLXe and D16x traces");
+        let grids = pool::map(&keys, jobs, |(w, isa)| suite.cache_grid(w, *isa).unwrap());
+        let stats: Vec<_> =
+            grids.iter().flat_map(|g| g.iter().map(|s| (*s.icache(), *s.dcache()))).collect();
+        let tele = deterministic(&suite.telemetry());
+        match &reference {
+            None => reference = Some((stats, tele)),
+            Some((s1, t1)) => {
+                assert_eq!(&stats, s1, "grid stats at jobs {jobs} differ from jobs 1");
+                assert_eq!(&tele, t1, "telemetry at jobs {jobs} differs from jobs 1");
+            }
+        }
+    }
+}
+
+#[test]
+fn racing_grid_sweeps_are_counted_once() {
+    let ws = workloads(&["assem"]);
+    let collected = Suite::collect_for_jobs(&ws, &base_specs(), true, 1).unwrap();
+    // Suites over the same cells and traces, each with an empty grid
+    // memo and telemetry.
+    let fresh = || {
+        let mut s = Suite::default();
+        s.cells = collected.cells.clone();
+        s.traces = collected.traces.clone();
+        s
+    };
+    let (serial, raced) = (fresh(), fresh());
+    serial.cache_grid("assem", Isa::D16).unwrap();
+
+    let start = Barrier::new(2);
+    let grids: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    raced.cache_grid("assem", Isa::D16).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(std::sync::Arc::ptr_eq(&grids[0], &grids[1]), "both callers get the memoized grid");
+    let tele = raced.telemetry();
+    assert_eq!(tele.span("suite.cache_grid.sweep").map(|s| s.count), Some(1));
+    assert_eq!(deterministic(&tele), deterministic(&serial.telemetry()));
 }

@@ -215,10 +215,48 @@ struct Line {
     lru: u64,
 }
 
+/// The address decomposition of one geometry as shifts and masks. Every
+/// validated geometry is a power of two in each dimension, so these are
+/// computed once at construction and `touch` divides nothing.
+#[derive(Copy, Clone, Debug)]
+struct Geometry {
+    /// log2(block): address -> block number.
+    block_shift: u32,
+    /// sets - 1: block number -> set index.
+    set_mask: u32,
+    /// log2(block * sets): address -> tag.
+    tag_shift: u32,
+    /// log2(sub_block): address -> sub-block number.
+    sub_shift: u32,
+    /// subs_per_block - 1: sub-block number -> index within the block.
+    sub_mask: u32,
+    /// log2(assoc): set index -> first way.
+    way_shift: u32,
+    /// Whether a read miss prefetches the next sub-block (wrap-around
+    /// prefetch on, and more than one sub-block per block).
+    prefetch: bool,
+}
+
+impl Geometry {
+    fn of(cfg: &CacheConfig) -> Self {
+        let log2 = u32::trailing_zeros;
+        Geometry {
+            block_shift: log2(cfg.block),
+            set_mask: cfg.sets() - 1,
+            tag_shift: log2(cfg.block) + log2(cfg.sets()),
+            sub_shift: log2(cfg.sub_block),
+            sub_mask: cfg.subs_per_block() - 1,
+            way_shift: log2(cfg.assoc),
+            prefetch: cfg.wrap_prefetch && cfg.subs_per_block() > 1,
+        }
+    }
+}
+
 /// One cache (instruction or data — the organization is identical).
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    geo: Geometry,
     lines: Vec<Line>, // sets * assoc
     tick: u64,
     stats: CacheStats,
@@ -236,6 +274,7 @@ impl Cache {
         let n = (cfg.sets() * cfg.assoc) as usize;
         Ok(Cache {
             cfg,
+            geo: Geometry::of(&cfg),
             lines: (0..n).map(|_| Line { tag: 0, valid: 0, dirty: 0, lru: 0 }).collect(),
             tick: 0,
             stats: CacheStats::default(),
@@ -285,15 +324,26 @@ impl Cache {
         hit
     }
 
+    /// A read known to hit the sub-block the previous read of this cache
+    /// touched: counts the hit and advances the clock without the tag
+    /// walk. The line keeps its older LRU stamp, which is still the
+    /// newest in its set, so every later victim choice is unchanged.
+    /// See [`crate::CacheBank`] for when a caller may know this.
+    pub(crate) fn repeat_read_hit(&mut self) {
+        self.stats.reads += 1;
+        self.tick += 1;
+        self.tele.bump(MemCounter::ReadHits);
+    }
+
     fn touch(&mut self, addr: u32, is_write: bool) -> bool {
         self.tick += 1;
-        let cfg = self.cfg;
-        let block_addr = addr / cfg.block;
-        let set = block_addr % cfg.sets();
-        let tag = block_addr / cfg.sets();
-        let sub = (addr % cfg.block) / cfg.sub_block;
-        let base = (set * cfg.assoc) as usize;
-        let ways = &mut self.lines[base..base + cfg.assoc as usize];
+        let g = self.geo;
+        let sub_block = u64::from(self.cfg.sub_block);
+        let block_addr = addr >> g.block_shift;
+        let tag = addr >> g.tag_shift;
+        let sub = (addr >> g.sub_shift) & g.sub_mask;
+        let base = ((block_addr & g.set_mask) << g.way_shift) as usize;
+        let ways = &mut self.lines[base..base + (1 << g.way_shift)];
 
         // Look for a tag match.
         if let Some(way) = ways.iter_mut().find(|w| w.valid != 0 && w.tag == tag) {
@@ -309,13 +359,13 @@ impl Cache {
             }
             // Tag hit, sub-block miss: demand-fetch + wrap-around prefetch.
             way.valid |= 1 << sub;
-            self.stats.demand_bytes_in += cfg.sub_block as u64;
+            self.stats.demand_bytes_in += sub_block;
             self.tele.bump(MemCounter::DemandFetches);
-            if cfg.wrap_prefetch && cfg.subs_per_block() > 1 {
-                let nxt = (sub + 1) % cfg.subs_per_block();
+            if g.prefetch {
+                let nxt = (sub + 1) & g.sub_mask;
                 if way.valid & (1 << nxt) == 0 {
                     way.valid |= 1 << nxt;
-                    self.stats.prefetch_bytes_in += cfg.sub_block as u64;
+                    self.stats.prefetch_bytes_in += sub_block;
                     self.tele.bump(MemCounter::Prefetches);
                 }
             }
@@ -328,7 +378,7 @@ impl Cache {
             .min_by_key(|w| if w.valid == 0 { 0 } else { w.lru })
             .expect("at least one way");
         let dirty_subs = victim.dirty.count_ones() as u64;
-        self.stats.bytes_out += dirty_subs * cfg.sub_block as u64;
+        self.stats.bytes_out += dirty_subs * sub_block;
         self.tele.add(MemCounter::Writebacks, dirty_subs);
         victim.tag = tag;
         victim.valid = 1 << sub;
@@ -337,12 +387,11 @@ impl Cache {
         if is_write {
             victim.dirty = 1 << sub;
         } else {
-            self.stats.demand_bytes_in += cfg.sub_block as u64;
+            self.stats.demand_bytes_in += sub_block;
             self.tele.bump(MemCounter::DemandFetches);
-            if cfg.wrap_prefetch && cfg.subs_per_block() > 1 {
-                let nxt = (sub + 1) % cfg.subs_per_block();
-                victim.valid |= 1 << nxt;
-                self.stats.prefetch_bytes_in += cfg.sub_block as u64;
+            if g.prefetch {
+                victim.valid |= 1 << ((sub + 1) & g.sub_mask);
+                self.stats.prefetch_bytes_in += sub_block;
                 self.tele.bump(MemCounter::Prefetches);
             }
         }

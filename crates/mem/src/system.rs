@@ -130,6 +130,12 @@ impl CacheSystem {
         (bytes as f64 / 4.0) / self.cycles(stats, miss_penalty) as f64
     }
 
+    /// A fetch known to hit the sub-block the previous fetch touched
+    /// (see [`crate::CacheBank`]).
+    pub(crate) fn repeat_fetch_hit(&mut self) {
+        self.icache.repeat_read_hit();
+    }
+
     /// Per-instruction miss rates `(ifetch, data read, data write)` — the
     /// paper's Tables 14–16 report read/write misses as a percent of read
     /// and write *instructions* and instruction misses per instruction.

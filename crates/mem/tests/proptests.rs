@@ -151,8 +151,12 @@ fn split_system_routing() {
 
 /// The differential gate for the single-pass engine: feeding a random
 /// trace through a [`CacheBank`] of N configurations must produce, for
-/// every member, statistics bit-identical to a dedicated serial replay of
-/// the same trace through that configuration alone.
+/// every member, statistics and telemetry identical to a dedicated serial
+/// replay of the same trace through that configuration alone. Members mix
+/// sub-blocks of 4 to 32 bytes and associativity 1 to 4, and the fetch
+/// stream is full of runs inside one sub-block, so the bank's
+/// repeat-fetch path (which serial replays never take) is checked where
+/// the smallest sub-block differs between members.
 #[test]
 fn bank_single_pass_equals_serial_replays() {
     cases(60, |case, rng| {
@@ -164,9 +168,13 @@ fn bank_single_pass_equals_serial_replays() {
             match rng.below(4) {
                 0 | 1 => {
                     trace.fetch(pc, if rng.bool() { 2 } else { 4 });
-                    // Mostly sequential with occasional branches, like a
-                    // real instruction stream.
-                    pc = if rng.below(8) == 0 { rng.below(16384) * 2 } else { pc + 4 };
+                    // Mostly sequential with occasional branches and
+                    // spins, like a real instruction stream.
+                    pc = match rng.below(8) {
+                        0 => rng.below(16384) * 2,
+                        1 => pc,
+                        _ => pc + 2,
+                    };
                 }
                 2 => trace.read(rng.below(16384) * 4, *rng.pick(&[1u8, 2, 4])),
                 _ => trace.write(rng.below(16384) * 4, *rng.pick(&[1u8, 2, 4])),
@@ -174,7 +182,16 @@ fn bank_single_pass_equals_serial_replays() {
         }
         // A random set of 1-6 distinct-ish configurations.
         let ncfg = 1 + rng.below(6) as usize;
-        let cfgs: Vec<CacheConfig> = (0..ncfg).map(|_| config(rng)).collect();
+        let cfgs: Vec<CacheConfig> = (0..ncfg)
+            .map(|_| {
+                let c = config(rng);
+                CacheConfig {
+                    sub_block: (4 << rng.below(4)).min(c.block),
+                    assoc: 1 << rng.below(3),
+                    ..c
+                }
+            })
+            .collect();
 
         let mut bank = CacheBank::symmetric(&cfgs).unwrap();
         trace.replay(&mut bank);
@@ -184,6 +201,10 @@ fn bank_single_pass_equals_serial_replays() {
             trace.replay(&mut solo);
             assert_eq!(banked.icache(), solo.icache(), "case {case}, cfg {cfg:?}");
             assert_eq!(banked.dcache(), solo.dcache(), "case {case}, cfg {cfg:?}");
+            let (mut b, mut s) = (d16_telemetry::Registry::new(), d16_telemetry::Registry::new());
+            banked.export_telemetry(&mut b, "m");
+            solo.export_telemetry(&mut s, "m");
+            assert!(b.counters().eq(s.counters()), "case {case}, cfg {cfg:?}: telemetry");
         }
     });
 }

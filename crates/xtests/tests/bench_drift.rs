@@ -3,7 +3,7 @@
 //! shape, trace records, replay counts, and the full telemetry counter
 //! dump. Timings are machine-local and only reported, never asserted.
 //!
-//! `#[ignore]` because it collects the full 15x5 grid (~15 s in release,
+//! `#[ignore]` because it collects the full 15x6 grid (~10 s in release,
 //! far slower in debug). CI runs it explicitly:
 //!
 //! ```text
@@ -101,11 +101,10 @@ fn fresh_run_matches_checked_in_bench_report() {
         collect_ns as f64 / 1e9,
         pinned_collect as f64 / 1e9,
     );
-    // `engines_cold_ns` is merged into the pinned report at pin time:
-    // the cold `collect_ns` of an `--engine interp` and an
-    // `--engine blocks` run on the same machine (EXPERIMENTS.md), so the
-    // engines' relative collection cost stays on record even though the
-    // pinned `collect_ns` itself comes from a warm store-served run.
+    // A pin may carry a hand-merged `engines_cold_ns`: the cold
+    // `collect_ns` of an `--engine interp` and an `--engine blocks` run
+    // on the same machine (EXPERIMENTS.md), keeping the engines' relative
+    // collection cost on record.
     if let Some(engines) = pinned.get("engines_cold_ns") {
         let (interp_ns, blocks_ns) = (u(engines, "interp"), u(engines, "blocks"));
         eprintln!(
