@@ -3,7 +3,7 @@
 
 fn main() {
     for w in d16_workloads::SUITE.iter().chain(d16_workloads::EXTRAS) {
-        match d16_core::measure(w, &d16_cc::TargetSpec::d16(), false) {
+        match d16_core::measure(w, &d16_cc::TargetSpec::d16(), false, &Default::default()) {
             Ok((m, _)) => println!("{}: {}", w.name, m.exit),
             Err(e) => println!("{}: ERROR {e}", w.name),
         }

@@ -50,9 +50,11 @@
 
 use d16_bench::json::Json;
 use d16_bench::report;
+use d16_cc::TargetSpec;
 use d16_core::report::{f2, f3, pct, Table};
-use d16_core::suite::standard_specs;
-use d16_core::{base_specs, default_jobs, experiments as ex, Engine, Suite};
+use d16_core::{
+    base_specs, default_jobs, experiments as ex, standard_specs, Engine, RunConfig, Suite,
+};
 use d16_isa::Isa;
 use d16_sim::{PipelineSpec, Predictor, PIPELINE_DEPTHS};
 use d16_store::Store;
@@ -282,43 +284,22 @@ fn main() {
     } else {
         Vec::new()
     };
-    let collect = |jobs: usize| {
-        if smoke {
-            Suite::collect_for_jobs_stored_spec(
-                &smoke_workloads,
-                &base_specs(),
-                true,
-                jobs,
-                store.clone(),
-                engine,
-                pspec,
-            )
-        } else if !only_workloads.is_empty() {
-            Suite::collect_for_jobs_stored_spec(
-                &only_workloads,
-                &standard_specs(),
-                true,
-                jobs,
-                store.clone(),
-                engine,
-                pspec,
-            )
-        } else {
-            Suite::collect_jobs_stored_spec(jobs, store.clone(), engine, pspec)
-        }
-    };
-    if smoke {
+    let (workloads, specs): (Vec<&Workload>, Vec<TargetSpec>) = if smoke {
         eprintln!("collecting the smoke grid (2 workloads x 2 targets, {jobs} jobs)...");
+        (smoke_workloads, base_specs().to_vec())
     } else if !only_workloads.is_empty() {
         eprintln!(
             "collecting the filtered grid ({} workloads x 6 targets, {jobs} jobs)...",
             only_workloads.len()
         );
+        (only_workloads, standard_specs())
     } else {
         eprintln!("collecting the measurement grid (15 workloads x 6 targets, {jobs} jobs)...");
-    }
+        (d16_workloads::SUITE.iter().collect(), standard_specs())
+    };
+    let cfg = RunConfig { jobs, store: store.clone(), engine, pipeline: pspec };
     let start = Instant::now();
-    let suite = match collect(jobs) {
+    let suite = match Suite::collect(&workloads, &specs, &cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("measurement failed: {e}");
@@ -331,8 +312,9 @@ fn main() {
     // --- collect the extension workloads (the extended suite) ----------
     // The extension cells live in their own Suite so the main suite's
     // cell counts, telemetry and metrics dumps stay byte-identical to
-    // runs that predate the extended tables. No cache traces: the
-    // distribution tables need only static size and path length.
+    // runs that predate the extended tables. No extension workload is a
+    // cache benchmark, so none records a trace: the distribution tables
+    // need only static size and path length.
     let xsuite = if extended {
         let extras: Vec<&Workload> = d16_workloads::EXTRAS.iter().collect();
         eprintln!(
@@ -340,15 +322,7 @@ fn main() {
             extras.len()
         );
         let xstart = Instant::now();
-        match Suite::collect_for_jobs_stored_spec(
-            &extras,
-            &standard_specs(),
-            false,
-            jobs,
-            store.clone(),
-            engine,
-            pspec,
-        ) {
+        match Suite::collect(&extras, &standard_specs(), &cfg) {
             Ok(s) => {
                 eprintln!("collected in {:.1}s", xstart.elapsed().as_nanos() as f64 / 1e9);
                 Some(s)

@@ -164,11 +164,6 @@ pub mod json {
             self
         }
 
-        /// Serializes with no insignificant whitespace.
-        pub fn to_string_compact(&self) -> String {
-            self.to_string()
-        }
-
         /// Parses a JSON document (the subset this module emits: no
         /// exponent-less edge cases are excluded — standard numbers,
         /// strings with the common escapes, arrays, objects).

@@ -273,8 +273,8 @@ fn table4_counts(
             return Ok(counts);
         }
     }
-    let image = crate::measure::build_stored(w, spec, store)
-        .map_err(|e| (w.name.to_string(), e.to_string()))?;
+    let image =
+        crate::measure::build(w, spec, store).map_err(|e| (w.name.to_string(), e.to_string()))?;
     let decoded: Vec<Option<Insn>> = image
         .text
         .chunks_exact(4)
@@ -780,9 +780,9 @@ pub fn fpu_latency_sweep_stored(
         }
     }
     let d16_image =
-        crate::measure::build_stored(w, &TargetSpec::d16(), store).map_err(|e| e.to_string())?;
+        crate::measure::build(w, &TargetSpec::d16(), store).map_err(|e| e.to_string())?;
     let dlxe_image =
-        crate::measure::build_stored(w, &TargetSpec::dlxe(), store).map_err(|e| e.to_string())?;
+        crate::measure::build(w, &TargetSpec::dlxe(), store).map_err(|e| e.to_string())?;
     let mut out = Vec::new();
     for mul in [1u64, 2, 4, 8, 16] {
         let lat = d16_sim::FpuLatency { add: 2, mul, div_s: mul * 3, div_d: mul * 3 + 4, cvt: 2 };
@@ -853,7 +853,7 @@ pub fn pipeline_sweep_stored(
     }
     let mut out = Vec::new();
     for spec in crate::suite::standard_specs() {
-        let image = crate::measure::build_stored(w, &spec, store).map_err(|e| e.to_string())?;
+        let image = crate::measure::build(w, &spec, store).map_err(|e| e.to_string())?;
         let mut m = Machine::load(&image);
         m.attach_pipeline_sweep(d16_sim::PipelineSweep::new());
         match m.run(crate::measure::FUEL, &mut NullSink).map_err(|e| e.to_string())? {

@@ -7,9 +7,11 @@
 //! Microprocessors"* (see DESIGN.md §5 for the experiment index).
 //!
 //! ```no_run
-//! use d16_core::{experiments, Suite};
+//! use d16_core::{experiments, standard_specs, RunConfig, Suite};
 //!
-//! let suite = Suite::collect().expect("measure the grid");
+//! let workloads: Vec<_> = d16_workloads::SUITE.iter().collect();
+//! let suite = Suite::collect(&workloads, &standard_specs(), &RunConfig::default())
+//!     .expect("measure the grid");
 //! let density = experiments::fig4_relative_density(&suite);
 //! let avg = experiments::average(&density);
 //! assert!(avg > 1.2, "DLXe binaries are bigger: {avg}");
@@ -23,10 +25,7 @@ pub mod stored;
 pub mod suite;
 
 pub use d16_sim::{Engine, PipelineSpec, Predictor};
-pub use measure::{
-    build, build_stored, measure, measure_stored, measure_stored_spec, measure_stored_with,
-    measure_with, MeasureError, Measurement,
-};
+pub use measure::{build, measure, MeasureError, Measurement, RunConfig};
 pub use suite::{base_specs, default_jobs, standard_specs, Skip, Suite, SuiteError};
 
 #[cfg(test)]
@@ -40,7 +39,7 @@ mod tests {
     fn headline_shape_on_subset() {
         let names = ["ackermann", "towers", "queens"];
         let ws: Vec<_> = names.iter().map(|n| d16_workloads::by_name(n).unwrap()).collect();
-        let suite = Suite::collect_for(&ws, &standard_specs(), false).unwrap();
+        let suite = Suite::collect(&ws, &standard_specs(), &RunConfig::default()).unwrap();
 
         let density = experiments::fig4_relative_density(&suite);
         let d_avg = experiments::average(&density);
@@ -67,7 +66,7 @@ mod tests {
     #[test]
     fn cache_replay_smoke() {
         let ws = [d16_workloads::by_name("assem").unwrap()];
-        let suite = Suite::collect_for(&ws, &base_specs(), true).unwrap();
+        let suite = Suite::collect(&ws, &base_specs(), &RunConfig::default()).unwrap();
         let miss = experiments::fig16_icache_miss(&suite, "assem").unwrap();
         // Bigger caches never miss more; D16 misses at most as often as
         // DLXe at equal size (its working set is half the bytes).

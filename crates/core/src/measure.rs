@@ -2,10 +2,13 @@
 
 use d16_asm::Image;
 use d16_cc::{compile_to_image_stored, BuildError, TargetSpec};
-use d16_sim::{AccessSink, Engine, ExecStats, Machine, PipelineSpec, StopReason, TraceRecorder};
+use d16_sim::{
+    AccessSink, Engine, ExecStats, Machine, PipelineSpec, SimError, StopReason, TraceRecorder,
+};
 use d16_store::Store;
 use d16_workloads::Workload;
 use std::fmt;
+use std::sync::Arc;
 
 /// Instruction budget per run: generous, since a correct workload halts
 /// far earlier.
@@ -95,22 +98,43 @@ impl std::error::Error for MeasureError {
     }
 }
 
-/// Compiles a workload for a target.
-///
-/// # Errors
-///
-/// Propagates toolchain diagnostics.
-pub fn build(w: &Workload, spec: &TargetSpec) -> Result<Image, MeasureError> {
-    build_stored(w, spec, None)
+/// How a measurement runs: the worker count, the artifact store, the
+/// execution engine and the pipeline design point. [`Default`] is the
+/// paper's machine on every core, with no store.
+#[derive(Clone, Debug)]
+pub struct RunConfig {
+    /// Worker threads for [`crate::Suite::collect`] (a single
+    /// [`measure`] runs on the calling thread).
+    pub jobs: usize,
+    /// Artifact store: intact cells, images and grid sweeps are served
+    /// from it, misses are computed and committed.
+    pub store: Option<Arc<Store>>,
+    /// Execution engine. Both engines produce byte-identical results, so
+    /// the engine is not part of any store key.
+    pub engine: Engine,
+    /// Pipeline design point the machine is retimed to before each run.
+    /// A non-default spec folds into the store key.
+    pub pipeline: PipelineSpec,
 }
 
-/// [`build`] through an optional `d16-store` (linked images are served
-/// from the `image` kind when an intact entry exists).
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            jobs: crate::suite::default_jobs(),
+            store: None,
+            engine: Engine::default(),
+            pipeline: PipelineSpec::default(),
+        }
+    }
+}
+
+/// Compiles a workload for a target, through the store's `image` kind
+/// when one is given.
 ///
 /// # Errors
 ///
 /// Propagates toolchain diagnostics.
-pub fn build_stored(
+pub fn build(
     w: &Workload,
     spec: &TargetSpec,
     store: Option<&Store>,
@@ -122,8 +146,8 @@ pub fn build_stored(
 /// models plus the optional trace recorder, statically dispatched so
 /// every access is a direct (inlinable) call into the execution engine.
 struct MeasureSink<'a> {
-    fb32: &'a mut d16_mem::FetchBuffer,
-    fb64: &'a mut d16_mem::FetchBuffer,
+    fb32: d16_mem::FetchBuffer,
+    fb64: d16_mem::FetchBuffer,
     rec: Option<&'a mut TraceRecorder>,
 }
 
@@ -154,97 +178,65 @@ impl AccessSink for MeasureSink<'_> {
     }
 }
 
-/// Builds, runs and measures one cell; optionally records the full access
-/// trace (for the cache experiments).
+/// What one machine run observed.
+pub struct Run {
+    /// Why the machine stopped.
+    pub stop: StopReason,
+    /// The machine after the run (statistics, telemetry, state).
+    pub machine: Machine,
+    /// Fetch-buffer requests for a 32-bit bus (`k` = 2 D16 / 1 DLXe).
+    pub ireq_bus32: u64,
+    /// Fetch-buffer requests for a 64-bit bus (`k` = 4 D16 / 2 DLXe).
+    pub ireq_bus64: u64,
+}
+
+/// Loads `image`, retimes the machine to `pipeline`, and runs it under
+/// `engine` for at most `fuel` instructions with both fetch-buffer bus
+/// models attached, feeding every access to `rec` when given. This is
+/// the one machine run behind [`measure`] and the serve API.
 ///
 /// # Errors
 ///
-/// Fails on toolchain errors, simulator faults, fuel exhaustion, or a
-/// checksum mismatch against the workload's pinned value.
+/// A simulator fault.
+pub fn run(
+    image: &Image,
+    pipeline: PipelineSpec,
+    engine: Engine,
+    fuel: u64,
+    rec: Option<&mut TraceRecorder>,
+) -> Result<Run, SimError> {
+    let mut machine = Machine::load(image);
+    machine.set_pipeline(pipeline);
+    let mut sink =
+        MeasureSink { fb32: d16_mem::FetchBuffer::new(4), fb64: d16_mem::FetchBuffer::new(8), rec };
+    let stop = machine.run_with(engine, fuel, &mut sink)?;
+    Ok(Run { stop, machine, ireq_bus32: sink.fb32.irequests, ireq_bus64: sink.fb64.irequests })
+}
+
+/// Builds, runs and measures one cell under `cfg` (its `jobs` is unused);
+/// optionally records the full access trace (for the cache experiments).
+///
+/// With a store, an intact cached cell is served without compiling or
+/// simulating anything; a miss (or a damaged entry, which the store
+/// evicts) recomputes and commits the cell — and the linked image — for
+/// the next run. A served cell is *complete*: measurement, telemetry
+/// block, and (when `want_trace`) the full access trace are
+/// bit-identical to a cold computation, and the pinned checksum is
+/// re-verified at decode time.
+///
+/// # Errors
+///
+/// Fails on toolchain errors, simulator faults, fuel exhaustion, a
+/// checksum mismatch against the workload's pinned value, or an unusable
+/// trace. Store damage is never an error.
 pub fn measure(
     w: &Workload,
     spec: &TargetSpec,
     want_trace: bool,
+    cfg: &RunConfig,
 ) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored(w, spec, want_trace, None)
-}
-
-/// [`measure`] under an explicit execution engine ([`Engine::Blocks`] is
-/// the default everywhere; [`Engine::Interp`] exists for A/B timing and
-/// differential checking — the results are byte-identical by contract).
-///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_with(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    engine: Engine,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored_with(w, spec, want_trace, None, engine)
-}
-
-/// [`measure`] through an optional `d16-store`: an intact cached cell is
-/// served without compiling or simulating anything; a miss (or a damaged
-/// entry, which the store evicts) recomputes and commits the cell — and
-/// the linked image — for the next run.
-///
-/// A served cell is *complete*: measurement, telemetry block, and (when
-/// `want_trace`) the full access trace are bit-identical to a cold
-/// computation, and the pinned checksum is re-verified at decode time.
-///
-/// # Errors
-///
-/// Same failure modes as [`measure`]; store damage is never an error.
-pub fn measure_stored(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    store: Option<&Store>,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored_with(w, spec, want_trace, store, Engine::default())
-}
-
-/// [`measure_stored`] under an explicit execution engine. The engine is
-/// deliberately *not* part of the store cell key: both engines produce
-/// byte-identical cells, so a cell computed under one engine may be
-/// served to a run using the other.
-///
-/// # Errors
-///
-/// See [`measure_stored`].
-pub fn measure_stored_with(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    store: Option<&Store>,
-    engine: Engine,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored_spec(w, spec, want_trace, store, engine, PipelineSpec::default())
-}
-
-/// [`measure_stored_with`] on an explicit [`PipelineSpec`]: the machine is
-/// retimed (depth-derived load delay, predictor, fetch width) before the
-/// run. The pipeline spec folds into the store key only when it differs
-/// from the default, so default-spec cells keep their keys — and their
-/// bytes — exactly as before this knob existed.
-///
-/// # Errors
-///
-/// See [`measure_stored`].
-pub fn measure_stored_spec(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    store: Option<&Store>,
-    engine: Engine,
-    pspec: PipelineSpec,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    let key = store.map(|s| {
-        let key = crate::stored::cell_key(w, spec, want_trace, &pspec);
-        (s, key)
-    });
+    let store = cfg.store.as_deref();
+    let key = store.map(|s| (s, crate::stored::cell_key(w, spec, want_trace, &cfg.pipeline)));
     if let Some((s, key)) = key {
         if let Some(cell) =
             s.get_with(crate::stored::CELL_KIND, key, |b| crate::stored::decode_cell(b, w, spec))
@@ -252,34 +244,11 @@ pub fn measure_stored_spec(
             return Ok(cell);
         }
     }
-    let image = build_stored(w, spec, store)?;
-    let (m, trace) = run(w, spec, &image, want_trace, engine, pspec)?;
-    if let Some((s, k)) = key {
-        s.put(crate::stored::CELL_KIND, k, &crate::stored::encode_cell(&m, trace.as_ref()));
-    }
-    Ok((m, trace))
-}
-
-/// Runs an already-built image and assembles the [`Measurement`].
-fn run(
-    w: &Workload,
-    spec: &TargetSpec,
-    image: &Image,
-    want_trace: bool,
-    engine: Engine,
-    pspec: PipelineSpec,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    let mut machine = Machine::load(image);
-    machine.set_pipeline(pspec);
-    let mut fb32 = d16_mem::FetchBuffer::new(4);
-    let mut fb64 = d16_mem::FetchBuffer::new(8);
+    let image = build(w, spec, store)?;
     let mut rec = TraceRecorder::new();
-    let stop = {
-        let mut sink =
-            MeasureSink { fb32: &mut fb32, fb64: &mut fb64, rec: want_trace.then_some(&mut rec) };
-        machine.run_with(engine, FUEL, &mut sink).map_err(MeasureError::Sim)?
-    };
-    let exit = match stop {
+    let run = run(&image, cfg.pipeline, cfg.engine, FUEL, want_trace.then_some(&mut rec))
+        .map_err(MeasureError::Sim)?;
+    let exit = match run.stop {
         StopReason::Halted(v) => v,
         StopReason::OutOfFuel => return Err(MeasureError::OutOfFuel),
     };
@@ -315,11 +284,14 @@ fn run(
         exit,
         size_bytes: image.size_bytes() as u64,
         text_bytes: image.text.len() as u64,
-        stats: *machine.stats(),
-        ireq_bus32: fb32.irequests,
-        ireq_bus64: fb64.irequests,
-        tele: machine.telemetry().clone(),
+        stats: *run.machine.stats(),
+        ireq_bus32: run.ireq_bus32,
+        ireq_bus64: run.ireq_bus64,
+        tele: run.machine.telemetry().clone(),
     };
+    if let Some((s, k)) = key {
+        s.put(crate::stored::CELL_KIND, k, &crate::stored::encode_cell(&m, trace.as_ref()));
+    }
     Ok((m, trace))
 }
 
@@ -330,8 +302,8 @@ mod tests {
     #[test]
     fn measure_queens_on_both_isas() {
         let w = d16_workloads::by_name("queens").unwrap();
-        let (d16, _) = measure(w, &TargetSpec::d16(), false).unwrap();
-        let (dlxe, _) = measure(w, &TargetSpec::dlxe(), false).unwrap();
+        let (d16, _) = measure(w, &TargetSpec::d16(), false, &RunConfig::default()).unwrap();
+        let (dlxe, _) = measure(w, &TargetSpec::dlxe(), false, &RunConfig::default()).unwrap();
         assert_eq!(d16.exit, 92);
         assert_eq!(dlxe.exit, 92);
         assert!(d16.size_bytes < dlxe.size_bytes, "D16 binaries are denser");
@@ -346,8 +318,9 @@ mod tests {
     fn engines_measure_identically() {
         let w = d16_workloads::by_name("towers").unwrap();
         for spec in [TargetSpec::d16(), TargetSpec::dlxe()] {
-            let (a, ta) = measure_with(w, &spec, true, Engine::Interp).unwrap();
-            let (b, tb) = measure_with(w, &spec, true, Engine::Blocks).unwrap();
+            let on = |engine| RunConfig { engine, ..RunConfig::default() };
+            let (a, ta) = measure(w, &spec, true, &on(Engine::Interp)).unwrap();
+            let (b, tb) = measure(w, &spec, true, &on(Engine::Blocks)).unwrap();
             assert_eq!(a.exit, b.exit);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.ireq_bus32, b.ireq_bus32);
@@ -360,7 +333,7 @@ mod tests {
     #[test]
     fn trace_lengths_match_stats() {
         let w = d16_workloads::by_name("ackermann").unwrap();
-        let (m, trace) = measure(w, &TargetSpec::d16(), true).unwrap();
+        let (m, trace) = measure(w, &TargetSpec::d16(), true, &RunConfig::default()).unwrap();
         let t = trace.unwrap();
         let fetches = t.iter().filter(|a| matches!(a, d16_sim::Access::Fetch(..))).count() as u64;
         assert_eq!(fetches, m.stats.insns);

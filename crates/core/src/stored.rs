@@ -465,7 +465,7 @@ fn read_counter_values(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::measure;
+    use crate::measure::{measure, RunConfig};
 
     #[test]
     fn cell_roundtrips_with_and_without_trace() {
@@ -473,7 +473,7 @@ mod tests {
         for (spec, want_trace) in
             [(TargetSpec::d16(), true), (TargetSpec::dlxe_restricted(true, true, false), false)]
         {
-            let (m, trace) = measure(w, &spec, want_trace).unwrap();
+            let (m, trace) = measure(w, &spec, want_trace, &RunConfig::default()).unwrap();
             let bytes = encode_cell(&m, trace.as_ref());
             let (back, back_trace) = decode_cell(&bytes, w, &spec).unwrap();
             assert_eq!(back.exit, m.exit);
@@ -490,7 +490,7 @@ mod tests {
     fn cell_decode_rejects_damage_and_wrong_checksum() {
         let w = d16_workloads::by_name("towers").unwrap();
         let spec = TargetSpec::d16();
-        let (m, t) = measure(w, &spec, true).unwrap();
+        let (m, t) = measure(w, &spec, true, &RunConfig::default()).unwrap();
         let bytes = encode_cell(&m, t.as_ref());
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_cell(&bytes[..cut], w, &spec).is_none(), "cut at {cut}");
@@ -548,7 +548,7 @@ mod tests {
     #[test]
     fn grid_roundtrips_bit_identically() {
         let w = d16_workloads::by_name("towers").unwrap();
-        let (_, trace) = measure(w, &TargetSpec::d16(), true).unwrap();
+        let (_, trace) = measure(w, &TargetSpec::d16(), true, &RunConfig::default()).unwrap();
         let mut bank =
             d16_mem::CacheBank::symmetric(&crate::experiments::cache_grid_configs()[..4]).unwrap();
         trace.unwrap().replay(&mut bank);

@@ -2,23 +2,21 @@
 //! configuration, plus access traces for the cache benchmarks.
 //!
 //! Collection fans the independent (workload, target) cells over the
-//! scoped worker pool ([`crate::pool`], via [`Suite::collect_for_jobs`]);
+//! scoped worker pool ([`crate::pool`], via [`Suite::collect`]);
 //! results are assembled in work-item order, so the collected suite is
 //! byte-identical no matter how many threads ran. Recorded traces feed
 //! the cache experiments through a per-(workload, ISA) memoized
 //! single-pass grid replay ([`Suite::cache_grid`]), so the full
 //! 20-configuration cache study walks each trace exactly once.
 
-use crate::measure::{measure_stored_spec, MeasureError, Measurement};
+use crate::measure::{measure, MeasureError, Measurement, RunConfig};
 use d16_cc::TargetSpec;
 use d16_isa::Isa;
 use d16_mem::{CacheBank, CacheSystem};
-use d16_sim::Engine;
-use d16_sim::PipelineSpec;
 use d16_sim::TraceRecorder;
 use d16_store::Store;
 use d16_telemetry::{timed, Registry};
-use d16_workloads::{Workload, SUITE};
+use d16_workloads::Workload;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -43,7 +41,7 @@ pub fn base_specs() -> [TargetSpec; 2] {
     [TargetSpec::d16(), TargetSpec::dlxe()]
 }
 
-/// The number of worker threads [`Suite::collect`] uses by default.
+/// The number of worker threads [`RunConfig::default`] runs on.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -122,7 +120,7 @@ impl fmt::Display for SuiteError {
                 write!(f, "cell ({workload}, {target}) not collected")
             }
             SuiteError::MissingTrace { workload, isa } => {
-                write!(f, "trace ({workload}, {isa}) not recorded (trace collection off, or not a cache benchmark)")
+                write!(f, "trace ({workload}, {isa}) not recorded (only cache benchmarks on D16/16/2 and DLXe/32/3 record one)")
             }
             SuiteError::Config { context, source } => {
                 write!(f, "{context}: {source}")
@@ -205,14 +203,19 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Measures the given workloads under the given specs on `jobs`
-    /// worker threads. Traces are recorded for cache-benchmark workloads
-    /// on the two unrestricted machines when `trace_cache` is set.
+    /// Measures the given workloads under the given specs, fanning the
+    /// independent (workload, spec) cells over `cfg.jobs` worker threads.
+    /// A trace is recorded for every cache-benchmark workload on the two
+    /// unrestricted paper machines ([`base_specs`]) — exactly the traces
+    /// the cache experiments read.
     ///
-    /// The (workload, spec) cells are independent, so they fan out over a
-    /// scoped thread pool; cells are assembled — and any skips recorded —
-    /// in work-item order, making the result identical for every `jobs`
-    /// value.
+    /// Cells are assembled — and any skips recorded — in work-item order,
+    /// making the result identical for every `jobs` value. With a store,
+    /// intact cached cells (and their traces) are served without
+    /// recompiling or re-simulating, and the store rides along in the
+    /// suite so lazy grid sweeps ([`Suite::cache_grid`]) go through it
+    /// too; served cells are bit-identical to computed ones, so every
+    /// diffable output of a warm run matches a cold one byte for byte.
     ///
     /// A failing cell does not fail the collection: it is dropped and
     /// recorded in [`Suite::skipped`], and a cross-target checksum
@@ -222,112 +225,30 @@ impl Suite {
     /// # Errors
     ///
     /// [`SuiteError::NothingCollected`] only when *every* cell failed.
-    pub fn collect_for_jobs(
+    pub fn collect(
         workloads: &[&Workload],
         specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs_stored(workloads, specs, trace_cache, jobs, None)
-    }
-
-    /// [`Suite::collect_for_jobs`] through an optional artifact store:
-    /// intact cached cells (and their traces) are served without
-    /// recompiling or re-simulating; misses and damaged entries recompute
-    /// and commit. The store rides along in the suite so lazy grid sweeps
-    /// ([`Suite::cache_grid`]) go through it too.
-    ///
-    /// Served cells are bit-identical to computed ones — assembly order,
-    /// telemetry absorption, span recording and the checksum gate all run
-    /// the same either way — so every diffable output of a warm run
-    /// matches a cold one byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for_jobs_stored(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs_stored_with(
-            workloads,
-            specs,
-            trace_cache,
-            jobs,
-            store,
-            Engine::default(),
-        )
-    }
-
-    /// [`Suite::collect_for_jobs_stored`] under an explicit execution
-    /// engine. Both engines yield byte-identical suites; the choice only
-    /// changes how long collection takes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for_jobs_stored_with(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs_stored_spec(
-            workloads,
-            specs,
-            trace_cache,
-            jobs,
-            store,
-            engine,
-            PipelineSpec::default(),
-        )
-    }
-
-    /// [`Suite::collect_for_jobs_stored_with`] on an explicit
-    /// [`PipelineSpec`]: every cell is measured on the retimed machine
-    /// (non-default specs get their own store keys). The default spec is
-    /// byte-identical to the plain collection.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for_jobs_stored_spec(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-        pspec: PipelineSpec,
+        cfg: &RunConfig,
     ) -> Result<Suite, SuiteError> {
         let items: Vec<(usize, usize)> =
             (0..workloads.len()).flat_map(|w| (0..specs.len()).map(move |s| (w, s))).collect();
+        let traced = base_specs();
         let run_cell = |&(wi, si): &(usize, usize)| -> CellResult {
             let w = workloads[wi];
             let spec = &specs[si];
-            let unrestricted = *spec == TargetSpec::d16()
-                || *spec == TargetSpec::dlxe()
-                || *spec == TargetSpec::d16x();
-            let want_trace = trace_cache && w.cache_benchmark && unrestricted;
-            measure_stored_spec(w, spec, want_trace, store.as_deref(), engine, pspec).map_err(|e| {
-                SuiteError::Measure {
-                    workload: w.name.to_string(),
-                    target: spec.label(),
-                    source: e,
-                }
+            let want_trace = w.cache_benchmark && traced.contains(spec);
+            measure(w, spec, want_trace, cfg).map_err(|e| SuiteError::Measure {
+                workload: w.name.to_string(),
+                target: spec.label(),
+                source: e,
             })
         };
 
         // Each result carries the wall time spent measuring its cell (the
         // "suite.collect.cell" span).
-        let results = crate::pool::map(&items, jobs, |item| timed(|| run_cell(item)));
+        let results = crate::pool::map(&items, cfg.jobs, |item| timed(|| run_cell(item)));
 
-        let mut suite = Suite { store: store.clone(), ..Suite::default() };
+        let mut suite = Suite { store: cfg.store.clone(), ..Suite::default() };
         let mut reg = Registry::new();
         for (&(wi, si), (result, wall_ns)) in items.iter().zip(results) {
             let w = workloads[wi];
@@ -393,86 +314,6 @@ impl Suite {
             });
         }
         Ok(suite)
-    }
-
-    /// [`Suite::collect_for_jobs`] with the default worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs(workloads, specs, trace_cache, default_jobs())
-    }
-
-    /// Measures the full paper grid: all fifteen workloads on all five
-    /// configurations, with cache-benchmark traces, on `jobs` threads.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs(jobs: usize) -> Result<Suite, SuiteError> {
-        Self::collect_jobs_stored(jobs, None)
-    }
-
-    /// [`Suite::collect_jobs`] through an optional artifact store.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs_stored(
-        jobs: usize,
-        store: Option<Arc<Store>>,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_jobs_stored_with(jobs, store, Engine::default())
-    }
-
-    /// [`Suite::collect_jobs_stored`] under an explicit execution engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs_stored_with(
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_jobs_stored_spec(jobs, store, engine, PipelineSpec::default())
-    }
-
-    /// [`Suite::collect_jobs_stored_with`] on an explicit [`PipelineSpec`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs_stored_spec(
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-        pspec: PipelineSpec,
-    ) -> Result<Suite, SuiteError> {
-        let all: Vec<&Workload> = SUITE.iter().collect();
-        Self::collect_for_jobs_stored_spec(
-            &all,
-            &standard_specs(),
-            true,
-            jobs,
-            store,
-            engine,
-            pspec,
-        )
-    }
-
-    /// Measures the full paper grid with the default worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect() -> Result<Suite, SuiteError> {
-        Self::collect_jobs(default_jobs())
     }
 
     /// The measurement for one cell.
@@ -592,8 +433,7 @@ impl Suite {
             .traces
             .iter()
             .filter_map(|((w, name), t)| {
-                let isa =
-                    [Isa::D16, Isa::Dlxe, Isa::D16x].into_iter().find(|i| i.name() == name)?;
+                let isa = [Isa::D16, Isa::Dlxe].into_iter().find(|i| i.name() == name)?;
                 Some((t.len(), w.clone(), isa))
             })
             .collect();
@@ -642,11 +482,28 @@ mod tests {
     #[test]
     fn collect_small_subset() {
         let ws = [d16_workloads::by_name("towers").unwrap()];
-        let suite = Suite::collect_for(&ws, &base_specs(), false).unwrap();
+        let suite = Suite::collect(&ws, &base_specs(), &RunConfig::default()).unwrap();
         assert_eq!(suite.cells.len(), 2);
         assert!(suite.skipped.is_empty(), "{:?}", suite.skipped);
         assert_eq!(suite.try_get("towers", "D16/16/2").unwrap().exit, 16383);
         assert_eq!(suite.workloads(), vec!["towers".to_string()]);
+    }
+
+    #[test]
+    fn collect_records_only_the_traces_the_cache_experiments_read() {
+        let ws = [d16_workloads::by_name("assem").unwrap()];
+        let suite = Suite::collect(&ws, &standard_specs(), &RunConfig::default()).unwrap();
+        let keys: Vec<_> = suite.traces.keys().cloned().collect();
+        let key = |isa: &str| ("assem".to_string(), isa.to_string());
+        assert_eq!(keys, vec![key("D16"), key("DLXe")]);
+        // The D16x cell is measured, but no cache figure reads its trace.
+        assert!(suite.try_get("assem", "D16x/16/3").is_ok());
+        let e = suite.try_trace("assem", Isa::D16x).unwrap_err();
+        assert!(
+            matches!(&e, SuiteError::MissingTrace { workload, isa }
+                if workload == "assem" && isa == "D16x"),
+            "{e:?}"
+        );
     }
 
     #[test]
@@ -662,7 +519,7 @@ mod tests {
             floating: false,
         };
         let good = d16_workloads::by_name("queens").unwrap();
-        let suite = Suite::collect_for(&[&bad, good], &base_specs(), false).unwrap();
+        let suite = Suite::collect(&[&bad, good], &base_specs(), &RunConfig::default()).unwrap();
         assert_eq!(suite.cells.len(), 2, "queens cells survive");
         assert_eq!(suite.workloads(), vec!["queens".to_string()]);
         assert_eq!(suite.skipped.len(), 2, "{:?}", suite.skipped);
@@ -674,7 +531,7 @@ mod tests {
 
         // When every cell fails, collection reports the first error
         // instead of returning an empty suite.
-        let e = Suite::collect_for(&[&bad], &base_specs(), false).unwrap_err();
+        let e = Suite::collect(&[&bad], &base_specs(), &RunConfig::default()).unwrap_err();
         assert!(matches!(&e, SuiteError::NothingCollected { attempted: 2, .. }), "{e:?}");
         assert!(e.to_string().contains("checksum mismatch"), "{e}");
     }

@@ -8,7 +8,7 @@
 //!   and telemetry for every `jobs`, and a grid raced by two threads is
 //!   counted once.
 
-use d16_core::{base_specs, experiments as ex, pool, standard_specs, Suite};
+use d16_core::{base_specs, experiments as ex, pool, standard_specs, RunConfig, Suite};
 use d16_isa::Isa;
 use d16_telemetry::Registry;
 use d16_workloads::{by_name, Workload};
@@ -18,11 +18,15 @@ fn workloads(names: &[&str]) -> Vec<&'static Workload> {
     names.iter().map(|n| by_name(n).expect("workload")).collect()
 }
 
+fn on_jobs(jobs: usize) -> RunConfig {
+    RunConfig { jobs, ..RunConfig::default() }
+}
+
 #[test]
 fn parallel_collection_is_deterministic() {
     let ws = workloads(&["towers", "assem"]);
-    let serial = Suite::collect_for_jobs(&ws, &standard_specs(), true, 1).unwrap();
-    let threaded = Suite::collect_for_jobs(&ws, &standard_specs(), true, 4).unwrap();
+    let serial = Suite::collect(&ws, &standard_specs(), &on_jobs(1)).unwrap();
+    let threaded = Suite::collect(&ws, &standard_specs(), &on_jobs(4)).unwrap();
     // Measurements carry no Eq impl; their Debug form is total, so a
     // byte-identical rendering means byte-identical cells.
     assert_eq!(format!("{:#?}", serial.cells), format!("{:#?}", threaded.cells));
@@ -34,14 +38,14 @@ fn parallel_collection_is_deterministic() {
 fn oversubscribed_pool_is_harmless() {
     // More workers than work items: the pool clamps, and nothing is lost.
     let ws = workloads(&["towers"]);
-    let suite = Suite::collect_for_jobs(&ws, &base_specs(), false, 64).unwrap();
+    let suite = Suite::collect(&ws, &base_specs(), &on_jobs(64)).unwrap();
     assert_eq!(suite.cells.len(), 2);
 }
 
 #[test]
 fn cache_experiments_replay_each_trace_once() {
     let ws = workloads(&["assem"]);
-    let suite = Suite::collect_for(&ws, &base_specs(), true).unwrap();
+    let suite = Suite::collect(&ws, &base_specs(), &RunConfig::default()).unwrap();
     ex::fig16_icache_miss(&suite, "assem").unwrap();
     ex::fig17_18_cache_cpi(&suite, "assem", 4096).unwrap();
     ex::fig17_18_cache_cpi(&suite, "assem", 16384).unwrap();
@@ -59,7 +63,7 @@ fn cache_experiments_replay_each_trace_once() {
 #[test]
 fn single_pass_grid_matches_legacy_replays() {
     let ws = workloads(&["assem"]);
-    let suite = Suite::collect_for(&ws, &base_specs(), true).unwrap();
+    let suite = Suite::collect(&ws, &base_specs(), &RunConfig::default()).unwrap();
     for isa in [Isa::D16, Isa::Dlxe] {
         let grid = suite.cache_grid("assem", isa).unwrap();
         for (i, cfg) in ex::cache_grid_configs().iter().enumerate() {
@@ -84,9 +88,9 @@ fn pooled_grid_warm_up_is_deterministic() {
     let ws = workloads(&["assem"]);
     let mut reference = None;
     for jobs in [1, 2, 4] {
-        let suite = Suite::collect_for_jobs(&ws, &standard_specs(), true, jobs).unwrap();
+        let suite = Suite::collect(&ws, &standard_specs(), &on_jobs(jobs)).unwrap();
         let keys = suite.grid_keys();
-        assert_eq!(keys.len(), 3, "assem records D16, DLXe and D16x traces");
+        assert_eq!(keys.len(), 2, "assem records D16 and DLXe traces");
         let grids = pool::map(&keys, jobs, |(w, isa)| suite.cache_grid(w, *isa).unwrap());
         let stats: Vec<_> =
             grids.iter().flat_map(|g| g.iter().map(|s| (*s.icache(), *s.dcache()))).collect();
@@ -104,7 +108,7 @@ fn pooled_grid_warm_up_is_deterministic() {
 #[test]
 fn racing_grid_sweeps_are_counted_once() {
     let ws = workloads(&["assem"]);
-    let collected = Suite::collect_for_jobs(&ws, &base_specs(), true, 1).unwrap();
+    let collected = Suite::collect(&ws, &base_specs(), &on_jobs(1)).unwrap();
     // Suites over the same cells and traces, each with an empty grid
     // memo and telemetry.
     let fresh = || {

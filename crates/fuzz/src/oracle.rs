@@ -23,7 +23,7 @@ use crate::ast::Prog;
 use crate::interp;
 use d16_cc::{compile_to_image_with, BuildError, OptLevel, TargetSpec};
 use d16_sim::{
-    ChecksumSink, Engine, Machine, PipelineSpec, Predictor, StopReason, FETCH_WIDTHS,
+    ChecksumSink, Engine, Machine, PipelineSpec, Predictor, SimError, StopReason, FETCH_WIDTHS,
     PIPELINE_DEPTHS,
 };
 
@@ -183,46 +183,21 @@ pub fn check_source_at(src: &str, reference: i32, pspec: PipelineSpec) -> Outcom
         }
         // Oracle 4: run the image under both execution engines and demand
         // identical observable behavior before trusting either for the
-        // reference comparison. Stop results are compared through Debug
-        // (a SimError's rendered position is part of the contract), the
-        // access streams through an order-sensitive checksum.
-        let mut m = Machine::load(&image);
-        let mut interp_sink = ChecksumSink::default();
-        let interp_run = m.run_with(Engine::Interp, SIM_FUEL, &mut interp_sink);
-        let mut mb = Machine::load(&image);
-        let mut blocks_sink = ChecksumSink::default();
-        let blocks_run = mb.run_with(Engine::Blocks, SIM_FUEL, &mut blocks_sink);
-        let mismatch = if format!("{interp_run:?}") != format!("{blocks_run:?}") {
-            Some(format!("stop: interp {interp_run:?}, blocks {blocks_run:?}"))
-        } else if m.stats() != mb.stats() {
-            Some(format!("stats: interp {:?}, blocks {:?}", m.stats(), mb.stats()))
-        } else if (interp_sink.count(), interp_sink.digest())
-            != (blocks_sink.count(), blocks_sink.digest())
-        {
-            Some(format!(
-                "access stream: interp {} accesses digest {:#018x}, blocks {} accesses digest {:#018x}",
-                interp_sink.count(),
-                interp_sink.digest(),
-                blocks_sink.count(),
-                blocks_sink.digest()
-            ))
-        } else {
-            None
-        };
-        if let Some(detail) = mismatch {
-            return Outcome::Diverged(Box::new(Divergence::EngineMismatch {
+        // reference comparison.
+        let mismatch = |detail| {
+            Outcome::Diverged(Box::new(Divergence::EngineMismatch {
                 target: spec.label(),
                 opt,
                 detail,
-            }));
-        }
+            }))
+        };
+        let (interp_run, m) = match engine_mismatch_at(&image, PipelineSpec::default()) {
+            Ok(run) => run,
+            Err(detail) => return mismatch(detail),
+        };
         if pspec != PipelineSpec::default() {
-            if let Some(detail) = engine_mismatch_at(&image, pspec) {
-                return Outcome::Diverged(Box::new(Divergence::EngineMismatch {
-                    target: spec.label(),
-                    opt,
-                    detail,
-                }));
+            if let Err(detail) = engine_mismatch_at(&image, pspec) {
+                return mismatch(detail);
             }
         }
         match interp_run {
@@ -255,9 +230,16 @@ pub fn check_source_at(src: &str, reference: i32, pspec: PipelineSpec) -> Outcom
     Outcome::Ok
 }
 
-/// Runs the image under both engines at `pspec` and renders the first
-/// disagreeing observable, or `None` when they agree.
-fn engine_mismatch_at(image: &d16_asm::Image, pspec: PipelineSpec) -> Option<String> {
+/// Runs the image under both engines at `pspec`. Stop results are
+/// compared through Debug (a SimError's rendered position is part of the
+/// contract), the access streams through an order-sensitive checksum.
+/// Returns the interpreter's stop result and machine when the engines
+/// agree, else the first disagreeing observable rendered (naming `pspec`
+/// when it is not the default).
+fn engine_mismatch_at(
+    image: &d16_asm::Image,
+    pspec: PipelineSpec,
+) -> Result<(Result<StopReason, SimError>, Machine), String> {
     let mut m = Machine::load(image);
     m.set_pipeline(pspec);
     let mut interp_sink = ChecksumSink::default();
@@ -266,28 +248,32 @@ fn engine_mismatch_at(image: &d16_asm::Image, pspec: PipelineSpec) -> Option<Str
     mb.set_pipeline(pspec);
     let mut blocks_sink = ChecksumSink::default();
     let blocks_run = mb.run_with(Engine::Blocks, SIM_FUEL, &mut blocks_sink);
-    let at = format!(
-        "at depth {} predictor {} fetch {}",
-        pspec.depth,
-        pspec.predictor.name(),
-        pspec.fetch_width_halfwords
-    );
+    let at = if pspec == PipelineSpec::default() {
+        String::new()
+    } else {
+        format!(
+            " at depth {} predictor {} fetch {}",
+            pspec.depth,
+            pspec.predictor.name(),
+            pspec.fetch_width_halfwords
+        )
+    };
     if format!("{interp_run:?}") != format!("{blocks_run:?}") {
-        return Some(format!("stop {at}: interp {interp_run:?}, blocks {blocks_run:?}"));
+        return Err(format!("stop{at}: interp {interp_run:?}, blocks {blocks_run:?}"));
     }
     if m.stats() != mb.stats() {
-        return Some(format!("stats {at}: interp {:?}, blocks {:?}", m.stats(), mb.stats()));
+        return Err(format!("stats{at}: interp {:?}, blocks {:?}", m.stats(), mb.stats()));
     }
     if (interp_sink.count(), interp_sink.digest()) != (blocks_sink.count(), blocks_sink.digest()) {
-        return Some(format!(
-            "access stream {at}: interp {} accesses digest {:#018x}, blocks {} accesses digest {:#018x}",
+        return Err(format!(
+            "access stream{at}: interp {} accesses digest {:#018x}, blocks {} accesses digest {:#018x}",
             interp_sink.count(),
             interp_sink.digest(),
             blocks_sink.count(),
             blocks_sink.digest()
         ));
     }
-    None
+    Ok((interp_run, m))
 }
 
 /// Runs all oracles on a generated program, using the interpreter for the

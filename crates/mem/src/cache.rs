@@ -200,11 +200,6 @@ impl CacheStats {
             self.write_misses as f64 / self.writes as f64
         }
     }
-
-    /// Total bus traffic in bytes (in + out).
-    pub fn traffic_bytes(&self) -> u64 {
-        self.demand_bytes_in + self.prefetch_bytes_in + self.bytes_out
-    }
 }
 
 #[derive(Clone, Debug)]

@@ -13,7 +13,7 @@ use d16_bench::json::Json;
 use d16_cc::{BuildError, OptLevel, TargetSpec};
 use d16_core::experiments::cache_grid_configs;
 use d16_core::measure::FUEL;
-use d16_sim::{AccessSink, Engine, Machine, PipelineSpec, Predictor, StopReason, TraceRecorder};
+use d16_sim::{Engine, PipelineSpec, Predictor, StopReason, TraceRecorder};
 use d16_store::{CacheKey, Reader, StableHasher, Store, Writer};
 use std::time::Instant;
 
@@ -131,20 +131,6 @@ fn body_bytes(doc: &Json) -> Vec<u8> {
     format!("{doc}\n").into_bytes()
 }
 
-/// The known target labels (the five standard configurations plus the
-/// D16x mixed-width extension target).
-fn spec_for_label(label: &str) -> Option<TargetSpec> {
-    match label {
-        "D16/16/2" => Some(TargetSpec::d16()),
-        "DLXe/32/3" => Some(TargetSpec::dlxe()),
-        "DLXe/16/2" => Some(TargetSpec::dlxe_restricted(true, true, false)),
-        "DLXe/16/3" => Some(TargetSpec::dlxe_restricted(true, false, false)),
-        "DLXe/32/2" => Some(TargetSpec::dlxe_restricted(false, true, false)),
-        "D16x/16/3" => Some(TargetSpec::d16x()),
-        _ => None,
-    }
-}
-
 impl RunRequest {
     /// Parses and validates a request body against `fuel_cap`.
     ///
@@ -228,10 +214,12 @@ impl RunRequest {
         };
 
         let label = str_field("target")?.unwrap_or("D16/16/2");
-        let mut spec = spec_for_label(label).ok_or_else(|| {
-            ApiError::BadRequest(format!(
-                "unknown target `{label}` (valid: D16/16/2, DLXe/32/3, DLXe/16/2, DLXe/16/3, DLXe/32/2)"
-            ))
+        // The valid targets are the standard grid's: the five paper
+        // configurations plus the D16x extension target.
+        let specs = d16_core::standard_specs();
+        let mut spec = specs.iter().find(|s| s.label() == label).cloned().ok_or_else(|| {
+            let valid: Vec<String> = specs.iter().map(TargetSpec::label).collect();
+            ApiError::BadRequest(format!("unknown target `{label}` (valid: {})", valid.join(", ")))
         })?;
         if let Some(v) = bool_field("d16_immediates")? {
             spec.d16_immediates = v;
@@ -351,39 +339,6 @@ pub struct RunOutcome {
 /// cap): the same fuel the batch experiments run with.
 pub const DEFAULT_FUEL_CAP: u64 = FUEL;
 
-struct ServeSink<'a> {
-    fb32: &'a mut d16_mem::FetchBuffer,
-    fb64: &'a mut d16_mem::FetchBuffer,
-    rec: Option<&'a mut TraceRecorder>,
-}
-
-impl AccessSink for ServeSink<'_> {
-    #[inline]
-    fn fetch(&mut self, addr: u32, bytes: u8) {
-        self.fb32.fetch(addr, bytes);
-        self.fb64.fetch(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.fetch(addr, bytes);
-        }
-    }
-    #[inline]
-    fn read(&mut self, addr: u32, bytes: u8) {
-        self.fb32.read(addr, bytes);
-        self.fb64.read(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.read(addr, bytes);
-        }
-    }
-    #[inline]
-    fn write(&mut self, addr: u32, bytes: u8) {
-        self.fb32.write(addr, bytes);
-        self.fb64.write(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.write(addr, bytes);
-        }
-    }
-}
-
 fn check_deadline(deadline: Instant) -> Result<(), ApiError> {
     if Instant::now() > deadline {
         return Err(ApiError::Timeout);
@@ -445,22 +400,15 @@ pub fn run(
     if d16_testkit::faults::armed_for("serve-fuel-exhausted", &req.tag) {
         fuel = fuel.min(1_000);
     }
-    let mut fb32 = d16_mem::FetchBuffer::new(4);
-    let mut fb64 = d16_mem::FetchBuffer::new(8);
     let mut rec = TraceRecorder::new();
     let t0 = Instant::now();
-    let mut machine = Machine::load(&image);
-    machine.set_pipeline(req.pspec);
-    let stop = {
-        let mut sink =
-            ServeSink { fb32: &mut fb32, fb64: &mut fb64, rec: req.sweep.then_some(&mut rec) };
-        machine.run_with(req.engine, fuel, &mut sink)
-    };
+    let run =
+        d16_core::measure::run(&image, req.pspec, req.engine, fuel, req.sweep.then_some(&mut rec));
     let execute_ns = t0.elapsed().as_nanos() as u64;
-    let exit = match stop {
-        Ok(StopReason::Halted(code)) => code,
-        Ok(StopReason::OutOfFuel) => return Err(ApiError::FuelExhausted { fuel }),
-        Err(e) => return Err(ApiError::Internal(format!("simulator fault: {e}"))),
+    let run = run.map_err(|e| ApiError::Internal(format!("simulator fault: {e}")))?;
+    let exit = match run.stop {
+        StopReason::Halted(code) => code,
+        StopReason::OutOfFuel => return Err(ApiError::FuelExhausted { fuel }),
     };
     check_deadline(deadline)?;
 
@@ -495,7 +443,7 @@ pub fn run(
         (Json::Null, 0)
     };
 
-    let stats = machine.stats();
+    let stats = run.machine.stats();
     let mut doc = Json::obj()
         .with("schema", SERVE_TAG)
         .with("ok", true)
@@ -523,8 +471,8 @@ pub fn run(
                 .with("taken_branches", stats.taken_branches)
                 .with("nops", stats.nops),
         )
-        .with("ireq_bus32", fb32.irequests)
-        .with("ireq_bus64", fb64.irequests)
+        .with("ireq_bus32", run.ireq_bus32)
+        .with("ireq_bus64", run.ireq_bus64)
         .with("sweep", sweep_json);
     // Only a retimed machine reports its pipeline (and the two counters
     // the default spec holds at zero): bodies of default-spec requests
@@ -581,7 +529,10 @@ mod tests {
             ("{}", "give `source`"),
             (r#"{"source":"int main(){return 0;}","workload":"towers"}"#, "not both"),
             (r#"{"workload":"nope"}"#, "unknown workload `nope`"),
-            (r#"{"workload":"towers","target":"X86"}"#, "unknown target `X86`"),
+            (
+                r#"{"workload":"towers","target":"X86"}"#,
+                "unknown target `X86` (valid: D16/16/2, DLXe/16/2, DLXe/16/3, DLXe/32/2, DLXe/32/3, D16x/16/3)",
+            ),
             (r#"{"workload":"towers","opt":"O1"}"#, "unknown opt level `O1`"),
             (r#"{"workload":"towers","engine":"jit"}"#, "unknown engine `jit`"),
             (r#"{"workload":"towers","fuel":0}"#, "`fuel` must be between"),
@@ -597,6 +548,15 @@ mod tests {
             let err = RunRequest::parse(body.as_bytes(), cap).unwrap_err();
             assert!(matches!(err, ApiError::BadRequest(_)), "{body}: {err:?}");
             assert!(err.message().contains(want), "{body}: {}", err.message());
+        }
+    }
+
+    #[test]
+    fn parse_accepts_every_standard_target() {
+        for label in ["D16/16/2", "DLXe/16/2", "DLXe/16/3", "DLXe/32/2", "DLXe/32/3", "D16x/16/3"] {
+            let body = format!(r#"{{"workload":"towers","target":"{label}"}}"#);
+            let req = RunRequest::parse(body.as_bytes(), DEFAULT_FUEL_CAP).unwrap();
+            assert_eq!(req.spec.label(), label);
         }
     }
 

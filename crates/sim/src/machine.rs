@@ -473,11 +473,6 @@ impl Machine {
         }
     }
 
-    /// Reads an FP register's raw bits.
-    pub fn fpr_bits(&self, r: d16_isa::Fpr) -> u32 {
-        self.fpr[r.index()]
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
@@ -1059,15 +1054,6 @@ impl Machine {
             MemWidth::W => self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes()),
         }
         Ok(())
-    }
-
-    /// Reads a word of simulated memory (for tests and workload checksums).
-    pub fn peek_word(&self, addr: u32) -> Option<u32> {
-        let a = addr as usize;
-        if !addr.is_multiple_of(4) || a + 4 > self.mem.len() {
-            return None;
-        }
-        Some(u32::from_le_bytes(self.mem[a..a + 4].try_into().expect("4-byte slice")))
     }
 }
 

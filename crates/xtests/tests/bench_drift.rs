@@ -11,7 +11,7 @@
 //! ```
 
 use d16_bench::json::Json;
-use d16_core::{experiments as ex, Suite};
+use d16_core::{experiments as ex, standard_specs, RunConfig, Suite};
 use d16_isa::Isa;
 
 fn checked_in_report() -> Json {
@@ -40,7 +40,9 @@ fn fresh_run_matches_checked_in_bench_report() {
     );
 
     let t0 = std::time::Instant::now();
-    let suite = Suite::collect_jobs(d16_core::default_jobs()).expect("collect full grid");
+    let all: Vec<_> = d16_workloads::SUITE.iter().collect();
+    let suite =
+        Suite::collect(&all, &standard_specs(), &RunConfig::default()).expect("collect full grid");
     let collect_ns = t0.elapsed().as_nanos() as u64;
 
     // --- counts: exact -------------------------------------------------
@@ -55,7 +57,6 @@ fn fresh_run_matches_checked_in_bench_report() {
         let w = s.get("workload").and_then(Json::as_str).expect("workload");
         let isa = match s.get("isa").and_then(Json::as_str) {
             Some("D16") => Isa::D16,
-            Some("D16x") => Isa::D16x,
             _ => Isa::Dlxe,
         };
         suite.cache_grid(w, isa).expect("warm grid");
@@ -139,7 +140,7 @@ fn block_engine_speedup_floor() {
     for name in ["queens", "towers", "latex"] {
         let w = d16_workloads::by_name(name).expect("suite workload");
         for spec in d16_core::base_specs() {
-            let image = d16_core::build(w, &spec).expect("build workload");
+            let image = d16_core::build(w, &spec, None).expect("build workload");
             for (engine, acc) in
                 [(Engine::Interp, &mut interp_ns), (Engine::Blocks, &mut blocks_ns)]
             {

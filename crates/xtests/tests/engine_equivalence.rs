@@ -11,18 +11,17 @@
 //! cell of the paper's grid and runs in CI release builds.
 
 use d16_cc::TargetSpec;
-use d16_core::{
-    measure_stored_spec, measure_with, standard_specs, Engine, PipelineSpec, Predictor,
-};
+use d16_core::{measure, standard_specs, Engine, PipelineSpec, Predictor, RunConfig};
 use d16_workloads::Workload;
 
 /// Measures one cell under both engines and asserts every observable
 /// output is identical.
 fn assert_cell_identical(w: &Workload, spec: &TargetSpec) {
     let label = format!("({}, {})", w.name, spec.label());
-    let (a, ta) = measure_with(w, spec, true, Engine::Interp)
+    let on = |engine| RunConfig { engine, ..RunConfig::default() };
+    let (a, ta) = measure(w, spec, true, &on(Engine::Interp))
         .unwrap_or_else(|e| panic!("{label} interp: {e}"));
-    let (b, tb) = measure_with(w, spec, true, Engine::Blocks)
+    let (b, tb) = measure(w, spec, true, &on(Engine::Blocks))
         .unwrap_or_else(|e| panic!("{label} blocks: {e}"));
     assert_eq!(a.exit, b.exit, "{label}: exit checksum");
     assert_eq!(a.stats, b.stats, "{label}: pipeline statistics");
@@ -58,13 +57,14 @@ fn engines_agree_on_subset_across_all_targets() {
 #[test]
 fn engines_agree_at_depth_eight_with_twobit_predictor() {
     let deep = PipelineSpec { depth: 8, predictor: Predictor::TwoBit, ..PipelineSpec::default() };
+    let on = |engine| RunConfig { engine, pipeline: deep, ..RunConfig::default() };
     for name in ["queens", "assem", "whetstone"] {
         let w = d16_workloads::by_name(name).expect("suite workload");
         for spec in standard_specs() {
             let label = format!("({}, {}, depth 8 twobit)", w.name, spec.label());
-            let (a, ta) = measure_stored_spec(w, &spec, true, None, Engine::Interp, deep)
+            let (a, ta) = measure(w, &spec, true, &on(Engine::Interp))
                 .unwrap_or_else(|e| panic!("{label} interp: {e}"));
-            let (b, tb) = measure_stored_spec(w, &spec, true, None, Engine::Blocks, deep)
+            let (b, tb) = measure(w, &spec, true, &on(Engine::Blocks))
                 .unwrap_or_else(|e| panic!("{label} blocks: {e}"));
             assert_eq!(a.exit, b.exit, "{label}: exit checksum");
             assert_eq!(a.stats, b.stats, "{label}: pipeline statistics");

@@ -4,7 +4,7 @@
 //! full deterministic telemetry projection. Caching can therefore never
 //! change a paper-facing number (DESIGN.md §6).
 
-use d16_core::{base_specs, Suite};
+use d16_core::{base_specs, RunConfig, Suite};
 use d16_isa::Isa;
 use d16_store::Store;
 use d16_testkit::TempDir;
@@ -16,8 +16,8 @@ fn workloads() -> Vec<&'static Workload> {
 }
 
 fn collect(store: Option<Arc<Store>>) -> Suite {
-    Suite::collect_for_jobs_stored(&workloads(), &base_specs(), true, 2, store)
-        .expect("suite collects")
+    let cfg = RunConfig { jobs: 2, store, ..RunConfig::default() };
+    Suite::collect(&workloads(), &base_specs(), &cfg).expect("suite collects")
 }
 
 /// Warms every grid, then renders the deterministic telemetry projection

@@ -3,7 +3,7 @@
 //! gate for the compiler, assembler, linker and pipeline.
 
 use d16_cc::TargetSpec;
-use d16_core::{measure, standard_specs};
+use d16_core::{measure, standard_specs, RunConfig};
 use d16_workloads::SUITE;
 
 /// Runs one workload across all five grid configurations and checks
@@ -12,8 +12,8 @@ fn check_workload(name: &str) {
     let w = d16_workloads::by_name(name).unwrap();
     let mut exits: Vec<(String, i32)> = Vec::new();
     for spec in standard_specs() {
-        let (m, _) =
-            measure(w, &spec, false).unwrap_or_else(|e| panic!("{name} on {}: {e}", spec.label()));
+        let (m, _) = measure(w, &spec, false, &RunConfig::default())
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", spec.label()));
         exits.push((spec.label(), m.exit));
     }
     let first = exits[0].1;
@@ -51,8 +51,8 @@ fn suite_is_complete() {
 #[test]
 fn d16_is_denser_on_every_workload() {
     for w in SUITE {
-        let (d16, _) = measure(w, &TargetSpec::d16(), false).unwrap();
-        let (dlxe, _) = measure(w, &TargetSpec::dlxe(), false).unwrap();
+        let (d16, _) = measure(w, &TargetSpec::d16(), false, &RunConfig::default()).unwrap();
+        let (dlxe, _) = measure(w, &TargetSpec::dlxe(), false, &RunConfig::default()).unwrap();
         assert!(
             d16.text_bytes < dlxe.text_bytes,
             "{}: D16 text {} !< DLXe text {}",

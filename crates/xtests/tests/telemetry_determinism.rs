@@ -9,14 +9,15 @@
 //! * phase-span counts match the grid shape.
 
 use d16_bench::report;
-use d16_core::{base_specs, Suite};
+use d16_core::{base_specs, RunConfig, Suite};
 use d16_isa::Isa;
 use d16_workloads::Workload;
 
 fn small_grid(jobs: usize) -> Suite {
     let ws: Vec<&Workload> =
         ["towers", "assem"].iter().map(|n| d16_workloads::by_name(n).expect("workload")).collect();
-    let suite = Suite::collect_for_jobs(&ws, &base_specs(), true, jobs).expect("collect");
+    let suite = Suite::collect(&ws, &base_specs(), &RunConfig { jobs, ..RunConfig::default() })
+        .expect("collect");
     // Warm every cache grid so the registry includes the sweep counters.
     let keys: Vec<(String, Isa)> = suite
         .traces

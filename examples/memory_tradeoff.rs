@@ -6,7 +6,7 @@
 //! cargo run --release -p d16-core --example memory_tradeoff [wait_states] [bus_bits]
 //! ```
 
-use d16_core::{base_specs, Suite};
+use d16_core::{base_specs, RunConfig, Suite};
 use d16_workloads::SUITE;
 
 fn main() {
@@ -16,8 +16,12 @@ fn main() {
     let bus = bus_bits / 8;
 
     eprintln!("measuring the suite on both machines...");
+    // One collection call: the default `RunConfig` runs every core, no
+    // artifact store, the block engine and the paper's five-stage
+    // pipeline. Set its `jobs`, `store`, `engine` or `pipeline` field to
+    // change one of those.
     let all: Vec<_> = SUITE.iter().collect();
-    let suite = match Suite::collect_for(&all, &base_specs(), false) {
+    let suite = match Suite::collect(&all, &base_specs(), &RunConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("measurement failed: {e}");

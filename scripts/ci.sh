@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The CI gate suite. Run everything with no arguments, or name the gates
-# to run: fmt clippy build test smoke determinism engine store faults
-# panics drift fuzz serve.
+# to run: fmt clippy build harness test smoke determinism engine store
+# faults panics drift fuzz serve.
 #
 #   ./scripts/ci.sh                  # all gates, in order
 #   ./scripts/ci.sh fmt clippy       # just the static gates
@@ -34,6 +34,15 @@ gate_build() {
     cargo build --release --locked --offline --workspace --no-default-features
     step "release build"
     cargo build --release --locked --offline --workspace
+}
+
+gate_harness() {
+    # The benchmark harness (perfbench/harness, a workspace of its own)
+    # links against d16-core, d16-sim and d16-mem by path. Building it
+    # here turns a public-API change that would break the benchmark into
+    # a CI failure instead of a failed benchmark run.
+    step "benchmark harness build"
+    cargo build --release --locked --offline --manifest-path perfbench/harness/Cargo.toml
 }
 
 gate_test() {
@@ -263,11 +272,11 @@ gate_serve() {
     cargo test --release --locked --offline -p d16-xtests --test store_concurrent
 }
 
-ALL_GATES=(fmt clippy build test smoke determinism engine store faults panics drift fuzz serve)
+ALL_GATES=(fmt clippy build harness test smoke determinism engine store faults panics drift fuzz serve)
 gates=("${@:-${ALL_GATES[@]}}")
 for g in "${gates[@]}"; do
     case "$g" in
-    fmt | clippy | build | test | smoke | determinism | engine | store | faults | panics | drift | fuzz | serve) "gate_$g" ;;
+    fmt | clippy | build | harness | test | smoke | determinism | engine | store | faults | panics | drift | fuzz | serve) "gate_$g" ;;
     *)
         echo "unknown gate: $g (expected: ${ALL_GATES[*]})" >&2
         exit 2
