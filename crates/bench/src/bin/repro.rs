@@ -23,8 +23,9 @@
 //!
 //! Output is plain text, one block per table/figure, in the paper's
 //! numbering. See EXPERIMENTS.md for paper-vs-measured commentary, the
-//! `bench_repro/4` schema of the two JSON reports, and the README's
-//! Performance section for how to read `BENCH_repro.json`.
+//! `bench_repro/4` (metrics) and `bench_repro/5` (timing) schemas of the
+//! two JSON reports, and the README's Performance section for how to
+//! read `BENCH_repro.json`.
 //!
 //! `--engine` selects the simulator's execution engine (the block-caching
 //! `blocks` default or the per-instruction `interp` reference). The two
@@ -32,7 +33,7 @@
 //! byte-for-byte the same either way — so the flag only moves the timing
 //! numbers; the timing report records which engine ran.
 //!
-//! Both JSON reports share the schema tag; they differ in kind. The
+//! The two JSON reports differ in kind and schema version. The
 //! `--metrics-json` dump is the deterministic projection (counters and
 //! span counts — byte-identical for every `--jobs N`, CI diffs it); the
 //! `--bench-json` report adds the wall-clock half (phase timings, span
@@ -45,8 +46,8 @@
 //! - `0` — every requested figure and table was produced in full.
 //! - `1` — nothing could be measured (or a report file was unwritable).
 //! - `2` — user error: bad flags, unknown workload, missing directory.
-//! - `3` — degraded: the run completed but one or more cells, grids or
-//!   reports were skipped; each skip is diagnosed on stderr.
+//! - `3` — degraded: the run completed but one or more cells or reports
+//!   were skipped; each skip is diagnosed on stderr.
 
 use d16_bench::json::Json;
 use d16_bench::report;
@@ -55,7 +56,6 @@ use d16_core::report::{f2, f3, pct, Table};
 use d16_core::{
     base_specs, default_jobs, experiments as ex, standard_specs, Engine, RunConfig, Suite,
 };
-use d16_isa::Isa;
 use d16_sim::{PipelineSpec, Predictor, PIPELINE_DEPTHS};
 use d16_store::Store;
 use d16_workloads::Workload;
@@ -99,6 +99,7 @@ fn valid_workload_names() -> Vec<&'static str> {
 }
 
 fn main() {
+    let run_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut figs: Vec<u32> = Vec::new();
     let mut tables: Vec<u32> = Vec::new();
@@ -350,12 +351,10 @@ fn main() {
     }
 
     // --- the post-collection pool (the other timed phase) --------------
-    // Every cache-grid sweep (longest trace first) plus the sweeps whose
-    // tables print later run as one task set on the --jobs pool; the
-    // blocks below then print from the results in the usual order.
-    let mut tasks: Vec<Task> =
-        suite.grid_keys().into_iter().map(|(w, isa)| Task::Grid(w, isa)).collect();
-    let grid_count = tasks.len();
+    // The sweeps whose tables print later run as one task set on the
+    // --jobs pool; the blocks below then print from the results in the
+    // usual order. (The cache grids were swept during collection.)
+    let mut tasks: Vec<Task> = Vec::new();
     if tables.contains(&4) {
         tasks.push(Task::Table4);
     }
@@ -367,37 +366,21 @@ fn main() {
     }
     let start = Instant::now();
     let done = d16_core::pool::map(&tasks, jobs, |task| match task {
-        Task::Grid(w, isa) => Done::Grid(w.clone(), *isa, suite.cache_grid(w, *isa).map(drop)),
         Task::Table4 => Done::Table4(ex::table4_immediate_profile_stored(store.as_deref())),
         Task::Fpu(w) => Done::Fpu(w, ex::fpu_latency_sweep_stored(w, store.as_deref())),
         Task::Pipeline(w) => Done::Pipeline(w, ex::pipeline_sweep_stored(w, store.as_deref())),
     });
-    let grid_ns = start.elapsed().as_nanos();
+    let sweeps_ns = start.elapsed().as_nanos();
     let mut sweeps = Sweeps::default();
-    let mut grid_failures = Vec::new();
     for d in done {
         match d {
-            Done::Grid(w, isa, Err(e)) => grid_failures.push((w, isa, e)),
-            Done::Grid(_, _, Ok(())) => {}
             Done::Table4(r) => sweeps.table4 = Some(r),
             Done::Fpu(w, r) => sweeps.fpu.push((w, r)),
             Done::Pipeline(w, r) => sweeps.pipeline.push((w, r)),
         }
     }
-    // Diagnose failed grids in trace-key order, whatever order they ran in.
-    grid_failures.sort_by(|(wa, ia, _), (wb, ib, _)| (wa, ia.name()).cmp(&(wb, ib.name())));
-    for (w, isa, e) in grid_failures {
-        eprintln!("skipped ({w}, grid {isa}): {e}");
-        skips.push((w, format!("grid {isa}"), e.to_string()));
-    }
     if !tasks.is_empty() {
-        let sweep_count = tasks.len() - grid_count;
-        eprintln!(
-            "cache grids ({grid_count} traces x {} configs){} in {:.1}s",
-            ex::cache_grid_configs().len(),
-            if sweep_count > 0 { format!(" and {sweep_count} sweeps") } else { String::new() },
-            grid_ns as f64 / 1e9
-        );
+        eprintln!("{} sweeps in {:.1}s", tasks.len(), sweeps_ns as f64 / 1e9);
     }
 
     for f in &figs {
@@ -457,13 +440,12 @@ fn main() {
         }
     }
 
-    // Telemetry snapshot: every grid the run needed is warm by now, so
-    // the registry holds the sim counters, the per-config cache counters,
-    // and both phase spans.
+    // Telemetry snapshot: the sim counters, the per-config cache
+    // counters, and the collection phase span.
     let tele = suite.telemetry();
 
     if let Some(path) = metrics_json {
-        let doc = report::metrics_json(&tele, smoke, suite.cells.len(), suite.traces.len());
+        let doc = report::metrics_json(tele, smoke, suite.cells.len(), suite.grids.len());
         if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);
@@ -473,15 +455,13 @@ fn main() {
 
     if let Some(path) = bench_json {
         let sweeps: Vec<Json> = suite
-            .traces
+            .grids
             .iter()
-            .map(|((w, isa), t)| {
+            .map(|((w, isa), g)| {
                 Json::obj()
                     .with("workload", w.as_str())
                     .with("isa", isa.as_str())
-                    .with("records", t.len())
-                    .with("memory_bytes", t.memory_bytes())
-                    .with("replays", t.replay_count())
+                    .with("records", g.records())
             })
             .collect();
         let cells: Vec<Json> = suite
@@ -495,7 +475,7 @@ fn main() {
             })
             .collect();
         let report = Json::obj()
-            .with("schema", "bench_repro/4")
+            .with("schema", "bench_repro/5")
             .with("kind", "timing")
             .with("smoke", smoke)
             .with("engine", engine.name())
@@ -507,18 +487,18 @@ fn main() {
                     .with("fetch_halfwords", u64::from(pspec.fetch_width_halfwords)),
             )
             .with("jobs", jobs)
+            .with("available_parallelism", default_jobs())
+            .with("build_profile", if cfg!(debug_assertions) { "debug" } else { "release" })
             .with("cells", suite.cells.len())
-            .with("traces", suite.traces.len())
+            .with("traces", suite.grids.len())
             .with("collect_ns", collect_ns)
+            .with("sweeps_ns", sweeps_ns)
             .with(
                 "cache_grid",
-                Json::obj()
-                    .with("ns", grid_ns)
-                    .with("configs", ex::cache_grid_configs().len())
-                    .with("sweeps", sweeps),
+                Json::obj().with("configs", ex::cache_grid_configs().len()).with("sweeps", sweeps),
             )
-            .with("counters", report::counters_json(&tele))
-            .with("spans", report::spans_json(&tele))
+            .with("counters", report::counters_json(tele))
+            .with("spans", report::spans_json(tele))
             .with("store", {
                 let st = store.as_ref().map(|s| s.stats()).unwrap_or_default();
                 Json::obj()
@@ -542,7 +522,12 @@ fn main() {
                     })
                     .collect::<Vec<Json>>(),
             )
-            .with("cell_wall_ns", cells);
+            .with("cell_wall_ns", cells)
+            .with("total_ns", run_start.elapsed().as_nanos());
+        let report = match report::peak_rss_kb() {
+            Some(kb) => report.with("peak_rss_kb", kb),
+            None => report,
+        };
         if let Err(e) = std::fs::write(&path, format!("{report}\n")) {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);
@@ -556,12 +541,12 @@ fn main() {
     }
 }
 
-/// Cells or traces the run never collected (a `--smoke` or `--only`
+/// Cells or grids the run never collected (a `--smoke` or `--only`
 /// subset) are an expected shape of the output, not a degradation; any
 /// other skip reason marks the run degraded (exit 3).
 fn fault_skip(e: &d16_core::SuiteError) -> bool {
     use d16_core::SuiteError;
-    !matches!(e, SuiteError::MissingCell { .. } | SuiteError::MissingTrace { .. })
+    !matches!(e, SuiteError::MissingCell { .. } | SuiteError::MissingGrid { .. })
 }
 
 /// The workloads of the FPU-latency sweep, in print order.
@@ -571,8 +556,6 @@ const PIPELINE_SWEEP_WORKLOADS: [&str; 2] = ["towers", "assem"];
 
 /// One task of the post-collection pool.
 enum Task {
-    /// Warm one (workload, ISA) cache grid.
-    Grid(String, Isa),
     /// Table 4's immediate-field profile.
     Table4,
     /// One workload's FPU-latency sweep.
@@ -583,7 +566,6 @@ enum Task {
 
 /// A finished [`Task`], carrying what it ran on.
 enum Done {
-    Grid(String, Isa, Result<(), d16_core::SuiteError>),
     Table4(Result<ex::Table4, (String, String)>),
     Fpu(&'static str, Result<Vec<ex::FpuSweepPoint>, String>),
     Pipeline(&'static str, Result<Vec<ex::PipelineSweepRow>, String>),

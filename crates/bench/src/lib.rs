@@ -544,15 +544,17 @@ pub mod json {
 }
 
 pub mod report {
-    //! Rendering a [`d16_telemetry::Registry`] into the two halves of the
-    //! `bench_repro/4` schema (see EXPERIMENTS.md):
+    //! Rendering a [`d16_telemetry::Registry`] into the two `repro`
+    //! reports (see EXPERIMENTS.md):
     //!
-    //! * [`metrics_json`] — the **deterministic projection**: counters and
-    //!   span *counts* only. CI diffs this byte-for-byte across `--jobs`
-    //!   values, so nothing wall-clock may appear in it.
+    //! * [`metrics_json`] — the **deterministic projection**
+    //!   (`bench_repro/4`): counters and span *counts* only. CI diffs this
+    //!   byte-for-byte across `--jobs` values, so nothing wall-clock may
+    //!   appear in it.
     //! * [`spans_json`] — the full **timing report** for one registry's
     //!   spans (totals, min/max, log2 histograms), embedded in the
-    //!   `--bench-json` output alongside the machine-local phase timings.
+    //!   `--bench-json` output (`bench_repro/5`) alongside the
+    //!   machine-local phase timings and [`peak_rss_kb`].
 
     use crate::json::Json;
     use d16_telemetry::{Registry, SpanStats};
@@ -605,21 +607,38 @@ pub mod report {
     /// wall-clock, no `--engine` choice (both engines count the same
     /// events) — so it must be byte-identical for every `--jobs N` and
     /// either engine (CI enforces this).
-    pub fn metrics_json(reg: &Registry, smoke: bool, cells: usize, traces: usize) -> Json {
+    /// `traces` counts the swept cache grids (the key predates the
+    /// streamed sweep, which records no trace).
+    pub fn metrics_json(reg: &Registry, smoke: bool, cells: usize, grids: usize) -> Json {
         Json::obj()
             .with("schema", "bench_repro/4")
             .with("kind", "metrics")
             .with("smoke", smoke)
             .with("telemetry_enabled", d16_telemetry::ENABLED)
             .with("cells", cells)
-            .with("traces", traces)
+            .with("traces", grids)
             .with("counters", counters_json(reg))
             .with("span_counts", span_counts_json(reg))
+    }
+
+    /// This process's peak resident set so far, in KiB (`VmHWM` of
+    /// `/proc/self/status`); `None` where that file is unreadable.
+    pub fn peak_rss_kb() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+        line.trim().strip_suffix("kB")?.trim().parse().ok()
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        #[test]
+        fn peak_rss_is_read_where_proc_exists() {
+            if std::path::Path::new("/proc/self/status").exists() {
+                assert!(peak_rss_kb().is_some_and(|kb| kb > 0));
+            }
+        }
 
         #[test]
         fn metrics_json_is_deterministic_and_timing_free() {

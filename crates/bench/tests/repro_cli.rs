@@ -191,14 +191,18 @@ fn smoke_regenerates_and_reports_timing() {
     let report = std::fs::read_to_string(&json_path).expect("bench json written");
     std::fs::remove_file(&json_path).ok();
     for needle in [
-        "\"schema\":\"bench_repro/4\"",
+        "\"schema\":\"bench_repro/5\"",
         "\"kind\":\"timing\"",
         "\"smoke\":true",
         "\"engine\":\"blocks\"",
         "\"jobs\":2",
+        "\"available_parallelism\":",
+        "\"build_profile\":",
         "\"collect_ns\":",
+        "\"sweeps_ns\":",
+        "\"total_ns\":",
         "\"cache_grid\":",
-        "\"replays\":1",
+        "{\"workload\":\"assem\",\"isa\":\"D16\",\"records\":",
         "\"counters\":",
         "\"spans\":",
         "\"suite.collect.cell\":",
@@ -206,5 +210,8 @@ fn smoke_regenerates_and_reports_timing() {
         "\"hist_log2_ns\":",
     ] {
         assert!(report.contains(needle), "missing {needle} in {report}");
+    }
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(report.contains("\"peak_rss_kb\":"), "{report}");
     }
 }

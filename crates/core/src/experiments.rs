@@ -8,7 +8,7 @@ use crate::measure::Measurement;
 use crate::suite::{Suite, SuiteError};
 use d16_cc::TargetSpec;
 use d16_isa::{EncodingParams, Insn, Isa};
-use d16_mem::{CacheConfig, CacheSystem};
+use d16_mem::CacheConfig;
 use d16_sim::{AccessSink, Engine, Machine, NullSink};
 use d16_workloads::SUITE;
 use std::collections::BTreeMap;
@@ -436,10 +436,10 @@ pub const GRID_SIZES: [u32; 5] = [1024, 2048, 4096, 8192, 16384];
 /// Block sizes of the Tables 14–16 grids.
 pub const GRID_BLOCKS: [u32; 4] = [8, 16, 32, 64];
 
-/// Every cache configuration any experiment replays: the size × block
+/// Every cache configuration any experiment reads: the size × block
 /// grid of Tables 14–16, which also contains (at block 32) every point of
-/// Figures 16–19. One [`Suite::cache_grid`] sweep of a trace warms all of
-/// them at once.
+/// Figures 16–19. One cell's run sweeps all of them at once (see
+/// [`Suite::cache_grid`]).
 pub fn cache_grid_configs() -> Vec<CacheConfig> {
     let mut out = Vec::with_capacity(GRID_SIZES.len() * GRID_BLOCKS.len());
     for size in GRID_SIZES {
@@ -475,28 +475,6 @@ pub fn cache_grid_index(size: u32, block: u32) -> Result<usize, SuiteError> {
     }
 }
 
-/// Replays a recorded trace through the paper's split I/D caches.
-///
-/// This is the legacy one-configuration-per-sweep path; the experiments
-/// read from the single-pass [`Suite::cache_grid`] instead, and a test
-/// asserts the two agree bit-for-bit.
-///
-/// # Errors
-///
-/// [`SuiteError::MissingTrace`] if the trace was never recorded.
-pub fn replay_cache(
-    suite: &Suite,
-    workload: &str,
-    isa: Isa,
-    icfg: CacheConfig,
-    dcfg: CacheConfig,
-) -> Result<CacheSystem, SuiteError> {
-    let mut cs = CacheSystem::new(icfg, dcfg)
-        .map_err(|source| SuiteError::Config { context: "cache replay".to_string(), source })?;
-    suite.try_trace(workload, isa)?.replay(&mut cs);
-    Ok(cs)
-}
-
 /// One miss-rate point for Figure 16.
 #[derive(Clone, Debug)]
 pub struct Fig16Point {
@@ -512,7 +490,7 @@ pub struct Fig16Point {
 ///
 /// # Errors
 ///
-/// [`SuiteError::MissingTrace`] if a needed trace was never recorded.
+/// [`SuiteError::MissingGrid`] if a needed grid was never swept.
 pub fn fig16_icache_miss(suite: &Suite, workload: &str) -> Result<Vec<Fig16Point>, SuiteError> {
     let d16 = suite.cache_grid(workload, Isa::D16)?;
     let dlxe = suite.cache_grid(workload, Isa::Dlxe)?;
@@ -545,7 +523,7 @@ pub struct Fig17Point {
 ///
 /// # Errors
 ///
-/// [`SuiteError`] if a needed cell or trace is absent.
+/// [`SuiteError`] if a needed cell or grid is absent.
 pub fn fig17_18_cache_cpi(
     suite: &Suite,
     workload: &str,
@@ -584,7 +562,7 @@ pub struct Fig19Point {
 ///
 /// # Errors
 ///
-/// [`SuiteError`] if a needed cell or trace is absent.
+/// [`SuiteError`] if a needed cell or grid is absent.
 pub fn fig19_cache_traffic(suite: &Suite, workload: &str) -> Result<Vec<Fig19Point>, SuiteError> {
     let d16_m = suite.try_get(workload, D16)?;
     let dlxe_m = suite.try_get(workload, DLXE)?;
@@ -622,7 +600,7 @@ pub struct MissGridRow {
 ///
 /// # Errors
 ///
-/// [`SuiteError::MissingTrace`] if a needed trace was never recorded.
+/// [`SuiteError::MissingGrid`] if a needed grid was never swept.
 pub fn miss_rate_grid(suite: &Suite, workload: &str) -> Result<Vec<MissGridRow>, SuiteError> {
     let grid_d16 = suite.cache_grid(workload, Isa::D16)?;
     let grid_dlxe = suite.cache_grid(workload, Isa::Dlxe)?;

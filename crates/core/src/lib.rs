@@ -25,7 +25,7 @@ pub mod stored;
 pub mod suite;
 
 pub use d16_sim::{Engine, PipelineSpec, Predictor};
-pub use measure::{build, measure, MeasureError, Measurement, RunConfig};
+pub use measure::{build, measure, Grid, MeasureError, Measurement, RunConfig};
 pub use suite::{base_specs, default_jobs, standard_specs, Skip, Suite, SuiteError};
 
 #[cfg(test)]
@@ -85,6 +85,7 @@ mod tests {
         let t_dlxe: f64 = t.iter().map(|p| p.dlxe).sum();
         assert!(t_d16 <= t_dlxe + 1e-9, "D16 I-traffic should be lower overall");
         assert!(t[0].d16 <= t[0].dlxe + 1e-9, "1K traffic");
-        let _ = suite.try_trace("assem", Isa::D16).unwrap();
+        assert_eq!(suite.grids.len(), 2, "assem sweeps one grid per unrestricted ISA");
+        let _ = suite.cache_grid("assem", Isa::D16).unwrap();
     }
 }

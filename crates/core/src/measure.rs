@@ -2,10 +2,10 @@
 
 use d16_asm::Image;
 use d16_cc::{compile_to_image_stored, BuildError, TargetSpec};
-use d16_sim::{
-    AccessSink, Engine, ExecStats, Machine, PipelineSpec, SimError, StopReason, TraceRecorder,
-};
+use d16_mem::{CacheBank, CacheSystem, ConfigError};
+use d16_sim::{AccessSink, Engine, ExecStats, Machine, PipelineSpec, SimError, StopReason};
 use d16_store::Store;
+use d16_telemetry::Counters;
 use d16_workloads::Workload;
 use std::fmt;
 use std::sync::Arc;
@@ -53,6 +53,42 @@ impl Measurement {
     }
 }
 
+/// One cell's swept cache grid: a system per configuration of
+/// [`crate::experiments::cache_grid_configs`], fed by the cell's own run,
+/// plus the bank's [`d16_mem::BANK_SCHEMA`] sweep counters.
+#[derive(Clone, Debug)]
+pub struct Grid {
+    /// The member systems, in grid order (index with
+    /// [`crate::experiments::cache_grid_index`]).
+    pub systems: Vec<CacheSystem>,
+    /// How many fetches, reads and writes the run fed the bank (all
+    /// zeros with telemetry compiled out).
+    pub sweep: Counters,
+}
+
+impl Grid {
+    /// An unswept bank over every grid configuration.
+    ///
+    /// # Errors
+    ///
+    /// A grid configuration the cache model rejects.
+    pub fn bank() -> Result<CacheBank, ConfigError> {
+        CacheBank::symmetric(&crate::experiments::cache_grid_configs())
+    }
+
+    /// Access records swept: the sum of the sweep counters.
+    pub fn records(&self) -> u64 {
+        self.sweep.values().iter().sum()
+    }
+}
+
+impl From<CacheBank> for Grid {
+    fn from(bank: CacheBank) -> Grid {
+        let sweep = bank.telemetry().clone();
+        Grid { systems: bank.into_systems(), sweep }
+    }
+}
+
 /// A failure while building or running a workload.
 #[derive(Debug)]
 pub enum MeasureError {
@@ -69,9 +105,8 @@ pub enum MeasureError {
         /// Observed value.
         got: i32,
     },
-    /// The recorded access trace is unusable (malformed access or a
-    /// stream that does not round-trip through the trace codec).
-    Trace(String),
+    /// The cache grid could not be set up.
+    Grid(ConfigError),
 }
 
 impl fmt::Display for MeasureError {
@@ -83,7 +118,7 @@ impl fmt::Display for MeasureError {
             MeasureError::WrongChecksum { expected, got } => {
                 write!(f, "checksum mismatch: expected {expected}, got {got}")
             }
-            MeasureError::Trace(e) => write!(f, "access trace: {e}"),
+            MeasureError::Grid(e) => write!(f, "cache grid: {e}"),
         }
     }
 }
@@ -93,6 +128,7 @@ impl std::error::Error for MeasureError {
         match self {
             MeasureError::Build(e) => Some(e),
             MeasureError::Sim(e) => Some(e),
+            MeasureError::Grid(e) => Some(e),
             _ => None,
         }
     }
@@ -106,8 +142,8 @@ pub struct RunConfig {
     /// Worker threads for [`crate::Suite::collect`] (a single
     /// [`measure`] runs on the calling thread).
     pub jobs: usize,
-    /// Artifact store: intact cells, images and grid sweeps are served
-    /// from it, misses are computed and committed.
+    /// Artifact store: intact cells (grids included) and images are
+    /// served from it, misses are computed and committed.
     pub store: Option<Arc<Store>>,
     /// Execution engine. Both engines produce byte-identical results, so
     /// the engine is not part of any store key.
@@ -143,12 +179,12 @@ pub fn build(
 }
 
 /// The concrete sink stack of one measurement run: both fetch-buffer bus
-/// models plus the optional trace recorder, statically dispatched so
-/// every access is a direct (inlinable) call into the execution engine.
+/// models plus the optional cache bank, statically dispatched so every
+/// access is a direct (inlinable) call into the execution engine.
 struct MeasureSink<'a> {
     fb32: d16_mem::FetchBuffer,
     fb64: d16_mem::FetchBuffer,
-    rec: Option<&'a mut TraceRecorder>,
+    bank: Option<&'a mut CacheBank>,
 }
 
 impl AccessSink for MeasureSink<'_> {
@@ -156,24 +192,24 @@ impl AccessSink for MeasureSink<'_> {
     fn fetch(&mut self, addr: u32, bytes: u8) {
         self.fb32.fetch(addr, bytes);
         self.fb64.fetch(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.fetch(addr, bytes);
+        if let Some(b) = &mut self.bank {
+            b.fetch(addr, bytes);
         }
     }
     #[inline]
     fn read(&mut self, addr: u32, bytes: u8) {
         self.fb32.read(addr, bytes);
         self.fb64.read(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.read(addr, bytes);
+        if let Some(b) = &mut self.bank {
+            b.read(addr, bytes);
         }
     }
     #[inline]
     fn write(&mut self, addr: u32, bytes: u8) {
         self.fb32.write(addr, bytes);
         self.fb64.write(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.write(addr, bytes);
+        if let Some(b) = &mut self.bank {
+            b.write(addr, bytes);
         }
     }
 }
@@ -192,7 +228,7 @@ pub struct Run {
 
 /// Loads `image`, retimes the machine to `pipeline`, and runs it under
 /// `engine` for at most `fuel` instructions with both fetch-buffer bus
-/// models attached, feeding every access to `rec` when given. This is
+/// models attached, feeding every access to `bank` when given. This is
 /// the one machine run behind [`measure`] and the serve API.
 ///
 /// # Errors
@@ -203,40 +239,43 @@ pub fn run(
     pipeline: PipelineSpec,
     engine: Engine,
     fuel: u64,
-    rec: Option<&mut TraceRecorder>,
+    bank: Option<&mut CacheBank>,
 ) -> Result<Run, SimError> {
     let mut machine = Machine::load(image);
     machine.set_pipeline(pipeline);
-    let mut sink =
-        MeasureSink { fb32: d16_mem::FetchBuffer::new(4), fb64: d16_mem::FetchBuffer::new(8), rec };
+    let mut sink = MeasureSink {
+        fb32: d16_mem::FetchBuffer::new(4),
+        fb64: d16_mem::FetchBuffer::new(8),
+        bank,
+    };
     let stop = machine.run_with(engine, fuel, &mut sink)?;
     Ok(Run { stop, machine, ireq_bus32: sink.fb32.irequests, ireq_bus64: sink.fb64.irequests })
 }
 
 /// Builds, runs and measures one cell under `cfg` (its `jobs` is unused);
-/// optionally records the full access trace (for the cache experiments).
+/// with `sweep`, the run also feeds every access to a bank over the whole
+/// cache grid (for the cache experiments).
 ///
 /// With a store, an intact cached cell is served without compiling or
 /// simulating anything; a miss (or a damaged entry, which the store
 /// evicts) recomputes and commits the cell — and the linked image — for
 /// the next run. A served cell is *complete*: measurement, telemetry
-/// block, and (when `want_trace`) the full access trace are
-/// bit-identical to a cold computation, and the pinned checksum is
-/// re-verified at decode time.
+/// block, and (when `sweep`) the grid are bit-identical to a cold
+/// computation, and the pinned checksum is re-verified at decode time.
 ///
 /// # Errors
 ///
 /// Fails on toolchain errors, simulator faults, fuel exhaustion, a
-/// checksum mismatch against the workload's pinned value, or an unusable
-/// trace. Store damage is never an error.
+/// checksum mismatch against the workload's pinned value, or a rejected
+/// grid configuration. Store damage is never an error.
 pub fn measure(
     w: &Workload,
     spec: &TargetSpec,
-    want_trace: bool,
+    sweep: bool,
     cfg: &RunConfig,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
+) -> Result<(Measurement, Option<Grid>), MeasureError> {
     let store = cfg.store.as_deref();
-    let key = store.map(|s| (s, crate::stored::cell_key(w, spec, want_trace, &cfg.pipeline)));
+    let key = store.map(|s| (s, crate::stored::cell_key(w, spec, sweep, &cfg.pipeline)));
     if let Some((s, key)) = key {
         if let Some(cell) =
             s.get_with(crate::stored::CELL_KIND, key, |b| crate::stored::decode_cell(b, w, spec))
@@ -245,9 +284,9 @@ pub fn measure(
         }
     }
     let image = build(w, spec, store)?;
-    let mut rec = TraceRecorder::new();
-    let run = run(&image, cfg.pipeline, cfg.engine, FUEL, want_trace.then_some(&mut rec))
-        .map_err(MeasureError::Sim)?;
+    let mut bank = if sweep { Some(Grid::bank().map_err(MeasureError::Grid)?) } else { None };
+    let run =
+        run(&image, cfg.pipeline, cfg.engine, FUEL, bank.as_mut()).map_err(MeasureError::Sim)?;
     let exit = match run.stop {
         StopReason::Halted(v) => v,
         StopReason::OutOfFuel => return Err(MeasureError::OutOfFuel),
@@ -257,27 +296,7 @@ pub fn measure(
             return Err(MeasureError::WrongChecksum { expected, got: exit });
         }
     }
-    let trace = if want_trace {
-        // Failpoint: a sink handed an access with a width the trace codec
-        // cannot represent. The recorder poisons itself rather than
-        // panicking; surface that here as a skippable cell error.
-        if d16_testkit::faults::armed_for("bad-access-width", w.name) {
-            rec.read(0x1000, 3);
-        }
-        if let Some(e) = rec.error() {
-            return Err(MeasureError::Trace(e.to_string()));
-        }
-        // Revalidate the stream through the codec — the same path a
-        // store-served trace takes — so a truncated stream (failpoint
-        // `trace-truncate=<workload>`) is caught at measurement time.
-        let mut bytes = rec.encoded_bytes().to_vec();
-        if d16_testkit::faults::armed_for("trace-truncate", w.name) {
-            bytes.pop();
-        }
-        Some(TraceRecorder::from_encoded(bytes, rec.len()).map_err(MeasureError::Trace)?)
-    } else {
-        None
-    };
+    let grid = bank.map(Grid::from);
     let m = Measurement {
         workload: w.name,
         target: spec.label(),
@@ -290,9 +309,9 @@ pub fn measure(
         tele: run.machine.telemetry().clone(),
     };
     if let Some((s, k)) = key {
-        s.put(crate::stored::CELL_KIND, k, &crate::stored::encode_cell(&m, trace.as_ref()));
+        s.put(crate::stored::CELL_KIND, k, &crate::stored::encode_cell(&m, grid.as_ref()));
     }
-    Ok((m, trace))
+    Ok((m, grid))
 }
 
 #[cfg(test)]
@@ -326,16 +345,27 @@ mod tests {
             assert_eq!(a.ireq_bus32, b.ireq_bus32);
             assert_eq!(a.ireq_bus64, b.ireq_bus64);
             assert_eq!(a.tele.values(), b.tele.values());
-            assert_eq!(ta.unwrap().encoded_bytes(), tb.unwrap().encoded_bytes());
+            let (ga, gb) = (ta.unwrap(), tb.unwrap());
+            assert_eq!(ga.sweep.values(), gb.sweep.values());
+            for (sa, sb) in ga.systems.iter().zip(&gb.systems) {
+                assert_eq!((sa.icache(), sa.dcache()), (sb.icache(), sb.dcache()));
+            }
         }
     }
 
     #[test]
     fn trace_lengths_match_stats() {
         let w = d16_workloads::by_name("ackermann").unwrap();
-        let (m, trace) = measure(w, &TargetSpec::d16(), true, &RunConfig::default()).unwrap();
-        let t = trace.unwrap();
-        let fetches = t.iter().filter(|a| matches!(a, d16_sim::Access::Fetch(..))).count() as u64;
-        assert_eq!(fetches, m.stats.insns);
+        let (m, grid) = measure(w, &TargetSpec::d16(), true, &RunConfig::default()).unwrap();
+        let grid = grid.unwrap();
+        // Every member sees the whole stream: one I-cache read per
+        // instruction, one D-cache access per load or store.
+        for s in &grid.systems {
+            assert_eq!(s.icache().reads, m.stats.insns);
+            assert_eq!((s.dcache().reads, s.dcache().writes), (m.stats.loads, m.stats.stores));
+        }
+        if d16_telemetry::ENABLED {
+            assert_eq!(grid.records(), m.stats.insns + m.stats.loads + m.stats.stores);
+        }
     }
 }

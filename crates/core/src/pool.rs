@@ -1,6 +1,6 @@
 //! The one worker pool behind every parallel phase: cell collection
-//! ([`crate::Suite`]), the post-collection cache-grid warm-up, and the
-//! Table 4 / pipeline / FPU sweeps `repro` runs beside it.
+//! ([`crate::Suite`], cache-grid sweeps included) and the Table 4 /
+//! pipeline / FPU sweeps `repro` runs after it.
 //!
 //! Workers pull the next index from a shared counter (so one long task
 //! does not hold up the short ones behind it) and keep their results

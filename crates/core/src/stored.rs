@@ -1,16 +1,16 @@
 //! Cache keys and codecs for the harness's `d16-store` artifacts.
 //!
-//! Four artifact kinds ride in the store:
+//! Five artifact kinds ride in the store:
 //!
 //! * `image` — linked binaries, written by `d16-cc` (see
 //!   [`d16_cc::compile_to_image_stored`]).
-//! * `cell` — one (workload, target) [`Measurement`] plus its optional
-//!   recorded access trace.
-//! * `grid` — one (workload, ISA) cache-grid sweep: per-configuration
-//!   aggregate statistics, from which every counter is rebuilt.
-//! * `table4` / `fpu` — the two experiments that re-run workloads
-//!   outside the suite grid (immediate-class counts, FPU-latency
-//!   points).
+//! * `cell` — one (workload, target) [`Measurement`] plus, for a cache
+//!   benchmark on an unrestricted machine, its swept cache [`Grid`]:
+//!   per-configuration aggregate statistics, from which every counter is
+//!   rebuilt.
+//! * `table4` / `fpu` / `psweep` — the three experiments that re-run
+//!   workloads outside the suite grid (immediate-class counts,
+//!   FPU-latency points, pipeline depth × predictor grids).
 //!
 //! Every key folds in [`CORE_TAG`] (bump when the simulator, memory
 //! models, or these codecs change observable results), the relevant
@@ -19,15 +19,14 @@
 //! telemetry mode, because a block dumped in one mode cannot be
 //! restored in the other.
 //!
-//! Restores are *complete*: a warm run's measurements, traces, grids,
-//! and derived tables are bit-identical to a cold run's, so caching can
+//! Restores are *complete*: a warm run's measurements, grids and
+//! derived tables are bit-identical to a cold run's, so caching can
 //! never change a paper-facing number (DESIGN.md §6).
 
-use crate::measure::Measurement;
+use crate::measure::{Grid, Measurement};
 use d16_cc::TargetSpec;
-use d16_isa::Isa;
 use d16_mem::{CacheConfig, CacheStats, CacheSystem, BANK_SCHEMA};
-use d16_sim::{ExecStats, PipelineSpec, Predictor, TraceRecorder, SIM_SCHEMA};
+use d16_sim::{ExecStats, PipelineSpec, Predictor, SIM_SCHEMA};
 use d16_store::{CacheKey, Reader, StableHasher, Writer};
 use d16_telemetry::Counters;
 use d16_workloads::Workload;
@@ -36,13 +35,10 @@ use d16_workloads::Workload;
 /// memory-model behavior, the codecs below, and the grid configuration
 /// set. Bump it whenever any of those changes observable numbers, and
 /// every stale entry stops matching at once.
-pub const CORE_TAG: &str = "d16-core/3";
+pub const CORE_TAG: &str = "d16-core/4";
 
 /// Store kind for (workload, target) measurement cells.
 pub const CELL_KIND: &str = "cell";
-
-/// Store kind for (workload, ISA) cache-grid sweeps.
-pub const GRID_KIND: &str = "grid";
 
 /// Store kind for per-workload Table 4 immediate-class counts.
 pub const TABLE4_KIND: &str = "table4";
@@ -58,51 +54,22 @@ pub const PSWEEP_KIND: &str = "psweep";
 // ---------------------------------------------------------------------
 
 /// Key of one measurement cell: the image it runs (which already covers
-/// source text, every codegen knob, and both toolchain tags) plus what
-/// the run records. A non-default [`PipelineSpec`] retimes the machine,
+/// source text, every codegen knob, and both toolchain tags) plus whether
+/// the run sweeps the cache grid (whose configurations [`CORE_TAG`]
+/// covers). A non-default [`PipelineSpec`] retimes the machine,
 /// so it folds into the key; the default spec adds nothing, keeping
 /// default-spec keys stable across the introduction of the knob.
-pub fn cell_key(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    pspec: &PipelineSpec,
-) -> CacheKey {
+pub fn cell_key(w: &Workload, spec: &TargetSpec, sweep: bool, pspec: &PipelineSpec) -> CacheKey {
     let mut h = StableHasher::new("d16-core.cell");
     h.field_str(CORE_TAG)
         .field_bool(d16_telemetry::ENABLED)
         .field_key(d16_cc::build_key(&[w.source], spec))
         .field_str(w.name)
-        .field_bool(want_trace);
+        .field_bool(sweep);
     if *pspec != PipelineSpec::default() {
         h.field_u64(u64::from(pspec.depth))
             .field_str(pspec.predictor.name())
             .field_u64(u64::from(pspec.fetch_width_halfwords));
-    }
-    h.finish()
-}
-
-/// Key of one cache-grid sweep: the unrestricted image whose trace is
-/// swept, plus a fingerprint of every configuration on the grid.
-pub fn grid_key(w: &Workload, isa: Isa) -> CacheKey {
-    let spec = match isa {
-        Isa::D16 => TargetSpec::d16(),
-        Isa::Dlxe => TargetSpec::dlxe(),
-        Isa::D16x => TargetSpec::d16x(),
-    };
-    let mut h = StableHasher::new("d16-core.grid");
-    h.field_str(CORE_TAG)
-        .field_bool(d16_telemetry::ENABLED)
-        .field_key(d16_cc::build_key(&[w.source], &spec))
-        .field_str(w.name);
-    let configs = crate::experiments::cache_grid_configs();
-    h.field_u64(configs.len() as u64);
-    for c in &configs {
-        h.field_u32(c.size)
-            .field_u32(c.block)
-            .field_u32(c.sub_block)
-            .field_u32(c.assoc)
-            .field_bool(c.wrap_prefetch);
     }
     h.finish()
 }
@@ -151,9 +118,9 @@ pub fn psweep_key(w: &Workload) -> CacheKey {
 // Cell records
 // ---------------------------------------------------------------------
 
-/// Serializes one measured cell and its optional trace.
+/// Serializes one measured cell and its optional grid.
 #[must_use]
-pub fn encode_cell(m: &Measurement, trace: Option<&TraceRecorder>) -> Vec<u8> {
+pub fn encode_cell(m: &Measurement, grid: Option<&Grid>) -> Vec<u8> {
     let mut w = Writer::new();
     w.i32(m.exit).u64(m.size_bytes).u64(m.text_bytes);
     let s = &m.stats;
@@ -173,26 +140,22 @@ pub fn encode_cell(m: &Measurement, trace: Option<&TraceRecorder>) -> Vec<u8> {
         .u64(s.misfetch_cycles);
     w.u64(m.ireq_bus32).u64(m.ireq_bus64);
     write_counter_values(&mut w, &m.tele);
-    match trace {
-        Some(t) => {
-            w.bool(true).u64(t.len() as u64).bytes(t.encoded_bytes());
-        }
-        None => {
-            w.bool(false);
-        }
+    w.bool(grid.is_some());
+    if let Some(g) = grid {
+        write_grid(&mut w, g);
     }
     w.into_bytes()
 }
 
 /// Deserializes a cell record; `None` on any structural damage,
-/// including a trace that fails the [`TraceRecorder::from_encoded`]
-/// validation walk or a counter block from the other telemetry mode.
+/// including grid statistics [`CacheSystem::from_stats`] rejects as
+/// inconsistent or a counter block from the other telemetry mode.
 #[must_use]
 pub fn decode_cell(
     bytes: &[u8],
     w: &Workload,
     spec: &TargetSpec,
-) -> Option<(Measurement, Option<TraceRecorder>)> {
+) -> Option<(Measurement, Option<Grid>)> {
     let mut r = Reader::new(bytes);
     let exit = r.i32()?;
     let size_bytes = r.u64()?;
@@ -216,13 +179,7 @@ pub fn decode_cell(
     let ireq_bus32 = r.u64()?;
     let ireq_bus64 = r.u64()?;
     let tele = read_counter_values(&mut r, &SIM_SCHEMA)?;
-    let trace = if r.bool()? {
-        let len = usize::try_from(r.u64()?).ok()?;
-        let raw = r.bytes()?.to_vec();
-        Some(TraceRecorder::from_encoded(raw, len).ok()?)
-    } else {
-        None
-    };
+    let grid = if r.bool()? { Some(read_grid(&mut r)?) } else { None };
     r.finish()?;
     // The record was validated against the pinned checksum when it was
     // written, but re-check: a record that disagrees cannot be served.
@@ -242,45 +199,38 @@ pub fn decode_cell(
         ireq_bus64,
         tele,
     };
-    Some((m, trace))
+    Some((m, grid))
 }
 
 // ---------------------------------------------------------------------
-// Grid records
+// Grids (inside cell records)
 // ---------------------------------------------------------------------
 
-/// Serializes a swept cache grid: the sweep-level counters plus each
-/// system's configurations and aggregate statistics. Per-cache telemetry
-/// is *not* stored — [`d16_mem::Cache::from_stats`] rebuilds it from the
+/// Writes a swept cache grid: the sweep-level counters plus each system's
+/// configurations and aggregate statistics. Per-cache telemetry is *not*
+/// stored — [`d16_mem::Cache::from_stats`] rebuilds it from the
 /// aggregates, reconciled by construction.
-#[must_use]
-pub fn encode_grid(systems: &[CacheSystem], sweep: &Counters) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_counter_values(&mut w, sweep);
-    w.u64(systems.len() as u64);
-    for s in systems {
-        write_cache_half(&mut w, s.iconfig(), s.icache());
-        write_cache_half(&mut w, s.dconfig(), s.dcache());
+fn write_grid(w: &mut Writer, g: &Grid) {
+    write_counter_values(w, &g.sweep);
+    w.u64(g.systems.len() as u64);
+    for s in &g.systems {
+        write_cache_half(w, s.iconfig(), s.icache());
+        write_cache_half(w, s.dconfig(), s.dcache());
     }
-    w.into_bytes()
 }
 
-/// Deserializes a grid record into its systems and sweep counters;
-/// `None` on structural damage or statistics [`CacheSystem::from_stats`]
-/// rejects as inconsistent.
-#[must_use]
-pub fn decode_grid(bytes: &[u8]) -> Option<(Vec<CacheSystem>, Counters)> {
-    let mut r = Reader::new(bytes);
-    let sweep = read_counter_values(&mut r, &BANK_SCHEMA)?;
+/// Reads a grid; `None` on structural damage or statistics
+/// [`CacheSystem::from_stats`] rejects as inconsistent.
+fn read_grid(r: &mut Reader<'_>) -> Option<Grid> {
+    let sweep = read_counter_values(r, &BANK_SCHEMA)?;
     let n = usize::try_from(r.u64()?).ok()?;
     let mut systems = Vec::with_capacity(n.min(1 << 10));
     for _ in 0..n {
-        let (icfg, istats) = read_cache_half(&mut r)?;
-        let (dcfg, dstats) = read_cache_half(&mut r)?;
+        let (icfg, istats) = read_cache_half(r)?;
+        let (dcfg, dstats) = read_cache_half(r)?;
         systems.push(CacheSystem::from_stats(icfg, istats, dcfg, dstats).ok()?);
     }
-    r.finish()?;
-    Some((systems, sweep))
+    Some(Grid { systems, sweep })
 }
 
 fn write_cache_half(w: &mut Writer, cfg: &CacheConfig, stats: &CacheStats) {
@@ -467,22 +417,35 @@ mod tests {
     use super::*;
     use crate::measure::{measure, RunConfig};
 
+    /// Two grids agree member by member, sweep counters included.
+    fn assert_grids_equal(a: &Grid, b: &Grid) {
+        assert_eq!(a.sweep.values(), b.sweep.values());
+        assert_eq!(a.systems.len(), b.systems.len());
+        for (x, y) in a.systems.iter().zip(&b.systems) {
+            assert_eq!((x.iconfig(), x.dconfig()), (y.iconfig(), y.dconfig()));
+            assert_eq!((x.icache(), x.dcache()), (y.icache(), y.dcache()));
+        }
+    }
+
     #[test]
     fn cell_roundtrips_with_and_without_trace() {
         let w = d16_workloads::by_name("towers").unwrap();
-        for (spec, want_trace) in
+        for (spec, sweep) in
             [(TargetSpec::d16(), true), (TargetSpec::dlxe_restricted(true, true, false), false)]
         {
-            let (m, trace) = measure(w, &spec, want_trace, &RunConfig::default()).unwrap();
-            let bytes = encode_cell(&m, trace.as_ref());
-            let (back, back_trace) = decode_cell(&bytes, w, &spec).unwrap();
+            let (m, grid) = measure(w, &spec, sweep, &RunConfig::default()).unwrap();
+            let bytes = encode_cell(&m, grid.as_ref());
+            let (back, back_grid) = decode_cell(&bytes, w, &spec).unwrap();
             assert_eq!(back.exit, m.exit);
             assert_eq!(back.target, m.target);
             assert_eq!((back.size_bytes, back.text_bytes), (m.size_bytes, m.text_bytes));
             assert_eq!(back.stats, m.stats);
             assert_eq!((back.ireq_bus32, back.ireq_bus64), (m.ireq_bus32, m.ireq_bus64));
             assert_eq!(back.tele.values(), m.tele.values());
-            assert_eq!(back_trace, trace, "trace restores bit-identically");
+            assert_eq!(back_grid.is_some(), sweep);
+            if let (Some(a), Some(b)) = (&grid, &back_grid) {
+                assert_grids_equal(a, b);
+            }
         }
     }
 
@@ -490,8 +453,8 @@ mod tests {
     fn cell_decode_rejects_damage_and_wrong_checksum() {
         let w = d16_workloads::by_name("towers").unwrap();
         let spec = TargetSpec::d16();
-        let (m, t) = measure(w, &spec, true, &RunConfig::default()).unwrap();
-        let bytes = encode_cell(&m, t.as_ref());
+        let (m, grid) = measure(w, &spec, true, &RunConfig::default()).unwrap();
+        let bytes = encode_cell(&m, grid.as_ref());
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_cell(&bytes[..cut], w, &spec).is_none(), "cut at {cut}");
         }
@@ -499,7 +462,7 @@ mod tests {
         // not be served, even if structurally intact.
         let mut wrong = m.clone();
         wrong.exit += 1;
-        let bad = encode_cell(&wrong, t.as_ref());
+        let bad = encode_cell(&wrong, grid.as_ref());
         assert!(decode_cell(&bad, w, &spec).is_none());
     }
 
@@ -511,12 +474,11 @@ mod tests {
         let dp = PipelineSpec::default();
         let base = cell_key(towers, &d16, false, &dp);
         assert_eq!(base, cell_key(towers, &d16, false, &dp));
-        assert_ne!(base, cell_key(towers, &d16, true, &dp), "trace recording changes the record");
+        assert_ne!(base, cell_key(towers, &d16, true, &dp), "a swept grid changes the record");
         assert_ne!(base, cell_key(queens, &d16, false, &dp));
         assert_ne!(base, cell_key(towers, &TargetSpec::dlxe(), false, &dp));
         let deep = PipelineSpec { depth: 8, predictor: Predictor::TwoBit, ..dp };
         assert_ne!(base, cell_key(towers, &d16, false, &deep), "a retimed machine is a new cell");
-        assert_ne!(grid_key(towers, Isa::D16), grid_key(towers, Isa::Dlxe));
         assert_ne!(table4_key(towers), table4_key(queens));
         assert_ne!(fpu_key(towers), fpu_key(queens));
         assert_ne!(psweep_key(towers), psweep_key(queens));
@@ -548,25 +510,29 @@ mod tests {
     #[test]
     fn grid_roundtrips_bit_identically() {
         let w = d16_workloads::by_name("towers").unwrap();
-        let (_, trace) = measure(w, &TargetSpec::d16(), true, &RunConfig::default()).unwrap();
-        let mut bank =
-            d16_mem::CacheBank::symmetric(&crate::experiments::cache_grid_configs()[..4]).unwrap();
-        trace.unwrap().replay(&mut bank);
-        let sweep = bank.telemetry().clone();
-        let systems = bank.into_systems();
-        let bytes = encode_grid(&systems, &sweep);
-        let (back, back_sweep) = decode_grid(&bytes).unwrap();
-        assert_eq!(back.len(), systems.len());
-        for (b, s) in back.iter().zip(&systems) {
-            assert_eq!(b.iconfig(), s.iconfig());
-            assert_eq!(b.icache(), s.icache());
-            assert_eq!(b.dcache(), s.dcache());
-            b.reconciles().unwrap();
+        let spec = TargetSpec::d16();
+        let (m, grid) = measure(w, &spec, true, &RunConfig::default()).unwrap();
+        let grid = grid.unwrap();
+        assert_eq!(grid.systems.len(), crate::experiments::cache_grid_configs().len());
+        let bytes = encode_cell(&m, Some(&grid));
+        let (_, back) = decode_cell(&bytes, w, &spec).unwrap();
+        let back = back.unwrap();
+        assert_grids_equal(&back, &grid);
+        for sys in &back.systems {
+            sys.reconciles().unwrap();
         }
-        assert_eq!(back_sweep.values(), sweep.values());
-        // Structural damage decodes to None, never a bad grid.
-        for cut in [0, 9, bytes.len() - 1] {
-            assert!(decode_grid(&bytes[..cut]).is_none(), "cut at {cut}");
+        // Structural damage inside the grid decodes to None, never a bad
+        // grid: a cut through the last member ...
+        for cut in [bytes.len() - 9, bytes.len() - 1] {
+            assert!(decode_cell(&bytes[..cut], w, &spec).is_none(), "cut at {cut}");
         }
+        // ... and statistics the cache model rejects: the last member's
+        // D-cache `reads` (7 u64 fields from the end) zeroed under its
+        // nonzero read misses.
+        assert!(grid.systems[grid.systems.len() - 1].dcache().read_misses > 0);
+        let mut inconsistent = bytes.clone();
+        let at = bytes.len() - 7 * 8;
+        inconsistent[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(decode_cell(&inconsistent, w, &spec).is_none());
     }
 }

@@ -1,25 +1,22 @@
 //! Collecting the full measurement grid: every workload on every target
-//! configuration, plus access traces for the cache benchmarks.
+//! configuration, plus the swept cache grids of the cache benchmarks.
 //!
 //! Collection fans the independent (workload, target) cells over the
 //! scoped worker pool ([`crate::pool`], via [`Suite::collect`]);
 //! results are assembled in work-item order, so the collected suite is
-//! byte-identical no matter how many threads ran. Recorded traces feed
-//! the cache experiments through a per-(workload, ISA) memoized
-//! single-pass grid replay ([`Suite::cache_grid`]), so the full
-//! 20-configuration cache study walks each trace exactly once.
+//! byte-identical no matter how many threads ran. A cache benchmark's
+//! cell on an unrestricted machine feeds its own run straight into a
+//! bank over all 20 grid configurations, so the whole cache study costs
+//! one pass over the access stream and no trace is ever kept.
 
-use crate::measure::{measure, MeasureError, Measurement, RunConfig};
+use crate::measure::{measure, Grid, MeasureError, Measurement, RunConfig};
 use d16_cc::TargetSpec;
 use d16_isa::Isa;
-use d16_mem::{CacheBank, CacheSystem};
-use d16_sim::TraceRecorder;
-use d16_store::Store;
+use d16_mem::CacheSystem;
 use d16_telemetry::{timed, Registry};
 use d16_workloads::Workload;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// The five configurations of the paper's grid (Tables 6–7):
 /// `D16/16/2, DLXe/16/2, DLXe/16/3, DLXe/32/2, DLXe/32/3` — plus the
@@ -74,19 +71,12 @@ pub enum SuiteError {
         /// Target label.
         target: String,
     },
-    /// A queried (workload, ISA) trace was never recorded.
-    MissingTrace {
+    /// A queried (workload, ISA) cache grid was never swept.
+    MissingGrid {
         /// Workload name.
         workload: String,
         /// ISA name.
         isa: String,
-    },
-    /// A cache configuration was rejected while setting up a replay.
-    Config {
-        /// What was being configured (e.g. `cache grid`).
-        context: String,
-        /// The rejection.
-        source: d16_mem::ConfigError,
     },
     /// A requested (size, block) point is not on the experiment grid.
     OffGrid {
@@ -119,11 +109,8 @@ impl fmt::Display for SuiteError {
             SuiteError::MissingCell { workload, target } => {
                 write!(f, "cell ({workload}, {target}) not collected")
             }
-            SuiteError::MissingTrace { workload, isa } => {
-                write!(f, "trace ({workload}, {isa}) not recorded (only cache benchmarks on D16/16/2 and DLXe/32/3 record one)")
-            }
-            SuiteError::Config { context, source } => {
-                write!(f, "{context}: {source}")
+            SuiteError::MissingGrid { workload, isa } => {
+                write!(f, "cache grid ({workload}, {isa}) not swept (only cache benchmarks on D16/16/2 and DLXe/32/3 sweep one)")
             }
             SuiteError::OffGrid { size, block } => {
                 write!(f, "cache point (size {size}, block {block}) is not on the experiment grid")
@@ -139,7 +126,6 @@ impl std::error::Error for SuiteError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SuiteError::Measure { source, .. } => Some(source),
-            SuiteError::Config { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -166,18 +152,16 @@ impl fmt::Display for Skip {
 }
 
 /// One collected cell, before assembly into the maps.
-type CellResult = Result<(Measurement, Option<TraceRecorder>), SuiteError>;
-
-/// Memoized cache-grid replays, keyed like [`Suite::traces`].
-type GridMemo = Arc<Mutex<BTreeMap<(String, String), Arc<Vec<CacheSystem>>>>>;
+type CellResult = Result<(Measurement, Option<Grid>), SuiteError>;
 
 /// The whole measurement grid.
 #[derive(Clone, Debug, Default)]
 pub struct Suite {
     /// `(workload, target label) -> measurement`.
     pub cells: BTreeMap<(String, String), Measurement>,
-    /// `(workload, ISA name) -> trace`, for the cache benchmarks.
-    pub traces: BTreeMap<(String, String), TraceRecorder>,
+    /// `(workload, ISA name) -> swept cache grid`, for the cache
+    /// benchmarks.
+    pub grids: BTreeMap<(String, String), Grid>,
     /// Wall time spent measuring each cell, keyed like `cells`.
     /// Wall-clock: reporting only, never part of diffed output (the
     /// per-cell [`Measurement`]s stay timing-free so their rendering is
@@ -188,34 +172,26 @@ pub struct Suite {
     /// reports filter rows whose cells are missing, so one failing cell
     /// costs its rows, not the sweep.
     pub skipped: Vec<Skip>,
-    /// Memoized single-pass cache-grid replays, keyed like `traces`.
-    /// Shared across clones: the underlying cells and traces are
-    /// immutable once collected, so the replay results are too.
-    grid_memo: GridMemo,
-    /// Merged telemetry: pipeline counters absorbed in work-item order at
-    /// assembly (deterministic for every `jobs`), plus collection and
-    /// cache-sweep phase spans. Shared across clones, like `grid_memo`,
-    /// because [`Suite::cache_grid`] appends through `&self`.
-    tele: Arc<Mutex<Registry>>,
-    /// The artifact store this suite was collected through, if any;
-    /// retained so [`Suite::cache_grid`] can serve and commit grid sweeps.
-    store: Option<Arc<Store>>,
+    /// Merged telemetry: pipeline and cache-grid counters absorbed at
+    /// assembly (deterministic for every `jobs`), plus the collection
+    /// phase span.
+    tele: Registry,
 }
 
 impl Suite {
     /// Measures the given workloads under the given specs, fanning the
     /// independent (workload, spec) cells over `cfg.jobs` worker threads.
-    /// A trace is recorded for every cache-benchmark workload on the two
-    /// unrestricted paper machines ([`base_specs`]) — exactly the traces
-    /// the cache experiments read.
+    /// Every cache-benchmark workload on the two unrestricted paper
+    /// machines ([`base_specs`]) sweeps the cache grid from its run —
+    /// exactly the grids the cache experiments read. Those cells start
+    /// first, since their bank work makes them the longest.
     ///
     /// Cells are assembled — and any skips recorded — in work-item order,
     /// making the result identical for every `jobs` value. With a store,
-    /// intact cached cells (and their traces) are served without
-    /// recompiling or re-simulating, and the store rides along in the
-    /// suite so lazy grid sweeps ([`Suite::cache_grid`]) go through it
-    /// too; served cells are bit-identical to computed ones, so every
-    /// diffable output of a warm run matches a cold one byte for byte.
+    /// intact cached cells (grids included) are served without
+    /// recompiling or re-simulating; served cells are bit-identical to
+    /// computed ones, so every diffable output of a warm run matches a
+    /// cold one byte for byte.
     ///
     /// A failing cell does not fail the collection: it is dropped and
     /// recorded in [`Suite::skipped`], and a cross-target checksum
@@ -232,27 +208,34 @@ impl Suite {
     ) -> Result<Suite, SuiteError> {
         let items: Vec<(usize, usize)> =
             (0..workloads.len()).flat_map(|w| (0..specs.len()).map(move |s| (w, s))).collect();
-        let traced = base_specs();
-        let run_cell = |&(wi, si): &(usize, usize)| -> CellResult {
-            let w = workloads[wi];
-            let spec = &specs[si];
-            let want_trace = w.cache_benchmark && traced.contains(spec);
-            measure(w, spec, want_trace, cfg).map_err(|e| SuiteError::Measure {
+        let swept = base_specs();
+        let sweeps = |&(wi, si): &(usize, usize)| {
+            workloads[wi].cache_benchmark && swept.contains(&specs[si])
+        };
+        let run_cell = |item: &(usize, usize)| -> CellResult {
+            let (w, spec) = (workloads[item.0], &specs[item.1]);
+            measure(w, spec, sweeps(item), cfg).map_err(|e| SuiteError::Measure {
                 workload: w.name.to_string(),
                 target: spec.label(),
                 source: e,
             })
         };
 
-        // Each result carries the wall time spent measuring its cell (the
-        // "suite.collect.cell" span).
-        let results = crate::pool::map(&items, cfg.jobs, |item| timed(|| run_cell(item)));
+        // The sweeping cells go to the pool first; each result carries
+        // the wall time spent measuring its cell (the "suite.collect.cell"
+        // span) and is put back in work-item order for assembly.
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&i| !sweeps(&items[i]));
+        let results = crate::pool::map(&order, cfg.jobs, |&i| timed(|| run_cell(&items[i])));
+        let mut results: Vec<_> = order.into_iter().zip(results).collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
 
-        let mut suite = Suite { store: cfg.store.clone(), ..Suite::default() };
+        let mut suite = Suite::default();
         let mut reg = Registry::new();
-        for (&(wi, si), (result, wall_ns)) in items.iter().zip(results) {
+        for (i, (result, wall_ns)) in results {
+            let (wi, si) = items[i];
             let w = workloads[wi];
-            let (m, trace) = match result {
+            let (m, grid) = match result {
                 Ok(cell) => cell,
                 Err(e) => {
                     suite.skipped.push(Skip {
@@ -271,13 +254,12 @@ impl Suite {
             let prefix = if specs[si].isa == Isa::D16x { "simx" } else { "sim" };
             reg.absorb(prefix, &m.tele);
             reg.record_span("suite.collect.cell", wall_ns);
-            if let Some(t) = trace {
-                suite.traces.insert((w.name.to_string(), specs[si].isa.name().to_string()), t);
+            if let Some(g) = grid {
+                suite.grids.insert((w.name.to_string(), specs[si].isa.name().to_string()), g);
             }
             suite.cell_wall_ns.insert((w.name.to_string(), specs[si].label()), wall_ns);
             suite.cells.insert((w.name.to_string(), specs[si].label()), m);
         }
-        *suite.tele.lock().expect("telemetry lock poisoned") = reg;
 
         // Cross-target checksum agreement: the joint correctness gate.
         // A disagreement means the workload's cells cannot be trusted on
@@ -297,7 +279,7 @@ impl Suite {
                 }
                 .to_string();
                 suite.cells.retain(|(name, _), _| name != w.name);
-                suite.traces.retain(|(name, _), _| name != w.name);
+                suite.grids.retain(|(name, _), _| name != w.name);
                 suite.cell_wall_ns.retain(|(name, _), _| name != w.name);
                 suite.skipped.push(Skip {
                     workload: w.name.to_string(),
@@ -306,6 +288,17 @@ impl Suite {
                 });
             }
         }
+
+        // Grid counters merge once the grid set is final, in key order;
+        // a stored grid exports exactly what its live sweep would have.
+        for ((w, isa), g) in &suite.grids {
+            let prefix = format!("grid.{w}.{isa}");
+            reg.absorb(&prefix, &g.sweep);
+            for sys in &g.systems {
+                sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
+            }
+        }
+        suite.tele = reg;
 
         if suite.cells.is_empty() && !suite.skipped.is_empty() {
             return Err(SuiteError::NothingCollected {
@@ -327,131 +320,33 @@ impl Suite {
         })
     }
 
-    /// The trace for a cache benchmark on an unrestricted machine.
+    /// The cache-grid systems for one (workload, ISA): every
+    /// configuration of [`crate::experiments::cache_grid_configs`], swept
+    /// by the cell's run. Figures 16–19 and Tables 13–16 all read from
+    /// this; index with [`crate::experiments::cache_grid_index`].
     ///
     /// # Errors
     ///
-    /// [`SuiteError::MissingTrace`] naming the absent pair.
-    pub fn try_trace(&self, workload: &str, isa: Isa) -> Result<&TraceRecorder, SuiteError> {
-        self.traces.get(&(workload.to_string(), isa.name().to_string())).ok_or_else(|| {
-            SuiteError::MissingTrace { workload: workload.to_string(), isa: isa.name().to_string() }
-        })
-    }
-
-    /// The cache-grid systems for one (workload, ISA) trace: every
-    /// configuration of [`crate::experiments::cache_grid_configs`], warmed
-    /// by a *single* shared sweep of the recorded trace through a
-    /// [`CacheBank`] and memoized. Figures 16–19 and Tables 13–16 all
-    /// read from this; index with
-    /// [`crate::experiments::cache_grid_index`].
-    ///
-    /// Safe to call from several threads: sweeps of different traces run
-    /// in parallel, and when two calls race on one trace the first to
-    /// finish is memoized and counted in [`Suite::telemetry`]; the other
-    /// result is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`SuiteError::MissingTrace`] if the trace was never recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memo or telemetry lock is poisoned.
-    pub fn cache_grid(
-        &self,
-        workload: &str,
-        isa: Isa,
-    ) -> Result<Arc<Vec<CacheSystem>>, SuiteError> {
-        let key = (workload.to_string(), isa.name().to_string());
-        if let Some(v) = self.grid_memo.lock().expect("grid memo poisoned").get(&key) {
-            return Ok(Arc::clone(v));
+    /// [`SuiteError::MissingGrid`] naming the absent pair.
+    pub fn cache_grid(&self, workload: &str, isa: Isa) -> Result<&[CacheSystem], SuiteError> {
+        match self.grids.get(&(workload.to_string(), isa.name().to_string())) {
+            Some(g) => Ok(&g.systems),
+            None => Err(SuiteError::MissingGrid {
+                workload: workload.to_string(),
+                isa: isa.name().to_string(),
+            }),
         }
-        let trace = self.try_trace(workload, isa)?;
-        let prefix = format!("grid.{workload}.{}", isa.name());
-
-        // The sweep runs without the memo lock, so grids of different
-        // traces warm in parallel. Its telemetry goes into a local
-        // registry that is merged only if this call is the one that
-        // memoizes the result.
-        let mut reg = Registry::new();
-        // A stored sweep carries the finished systems plus the bank's
-        // sweep counters, so the registry ends up with exactly the
-        // entries a live replay's `export_telemetry` would have written.
-        let stored_at = self.store.as_deref().and_then(|s| {
-            d16_workloads::by_name(workload).map(|w| (s, crate::stored::grid_key(w, isa)))
-        });
-        let hit = stored_at.and_then(|(s, gkey)| {
-            let (hit, load_ns) =
-                timed(|| s.get_with(crate::stored::GRID_KIND, gkey, crate::stored::decode_grid));
-            let (systems, sweep) = hit?;
-            reg.record_span("suite.cache_grid.sweep", load_ns);
-            reg.absorb(&prefix, &sweep);
-            for sys in &systems {
-                sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
-            }
-            Some(systems)
-        });
-        let systems = match hit {
-            Some(systems) => systems,
-            None => {
-                let mut bank =
-                    CacheBank::symmetric(&crate::experiments::cache_grid_configs()).map_err(
-                        |source| SuiteError::Config { context: "cache grid".to_string(), source },
-                    )?;
-                let ((), sweep_ns) = timed(|| trace.replay(&mut bank));
-                reg.record_span("suite.cache_grid.sweep", sweep_ns);
-                bank.export_telemetry(&mut reg, &prefix);
-                if let Some((s, gkey)) = stored_at {
-                    s.put(
-                        crate::stored::GRID_KIND,
-                        gkey,
-                        &crate::stored::encode_grid(bank.systems(), bank.telemetry()),
-                    );
-                }
-                bank.into_systems()
-            }
-        };
-
-        // Another thread may have memoized the same key meanwhile: keep
-        // its result and drop this one, telemetry included, so no grid is
-        // counted twice.
-        let mut memo = self.grid_memo.lock().expect("grid memo poisoned");
-        if let Some(v) = memo.get(&key) {
-            return Ok(Arc::clone(v));
-        }
-        self.tele.lock().expect("telemetry lock poisoned").merge(&reg);
-        let systems = Arc::new(systems);
-        memo.insert(key, Arc::clone(&systems));
-        Ok(systems)
     }
 
-    /// The (workload, ISA) of every recorded trace, longest trace first
-    /// (ties in key order): the order to start grid sweeps in on the
-    /// pool, so the longest sweep never starts last.
-    pub fn grid_keys(&self) -> Vec<(String, Isa)> {
-        let mut keys: Vec<(usize, String, Isa)> = self
-            .traces
-            .iter()
-            .filter_map(|((w, name), t)| {
-                let isa = [Isa::D16, Isa::Dlxe].into_iter().find(|i| i.name() == name)?;
-                Some((t.len(), w.clone(), isa))
-            })
-            .collect();
-        keys.sort_by_key(|(len, ..)| std::cmp::Reverse(*len));
-        keys.into_iter().map(|(_, w, isa)| (w, isa)).collect()
-    }
-
-    /// A snapshot of the suite's merged telemetry: `sim.*` pipeline
-    /// counters (absorbed in work-item order; D16x cells under `simx.*`),
-    /// `grid.*` per-configuration cache counters (one block per swept
-    /// trace), and the `suite.collect.cell` / `suite.cache_grid.sweep`
-    /// phase spans.
+    /// The suite's merged telemetry: `sim.*` pipeline counters (D16x
+    /// cells under `simx.*`), `grid.*` sweep and per-configuration cache
+    /// counters (one block per swept grid), and the `suite.collect.cell`
+    /// phase span.
     ///
     /// Counters and span *counts* are deterministic; span durations are
-    /// wall-clock. Grids sweep lazily, so warm every trace you want
-    /// reported (see [`Suite::cache_grid`]) before snapshotting.
-    pub fn telemetry(&self) -> Registry {
-        self.tele.lock().expect("telemetry lock poisoned").clone()
+    /// wall-clock.
+    pub fn telemetry(&self) -> &Registry {
+        &self.tele
     }
 
     /// Workload names present, in collection order.
@@ -491,16 +386,18 @@ mod tests {
 
     #[test]
     fn collect_records_only_the_traces_the_cache_experiments_read() {
+        // The access stream is swept into a grid, not recorded: only the
+        // grids the cache figures read exist.
         let ws = [d16_workloads::by_name("assem").unwrap()];
         let suite = Suite::collect(&ws, &standard_specs(), &RunConfig::default()).unwrap();
-        let keys: Vec<_> = suite.traces.keys().cloned().collect();
+        let keys: Vec<_> = suite.grids.keys().cloned().collect();
         let key = |isa: &str| ("assem".to_string(), isa.to_string());
         assert_eq!(keys, vec![key("D16"), key("DLXe")]);
-        // The D16x cell is measured, but no cache figure reads its trace.
+        // The D16x cell is measured, but no cache figure reads its grid.
         assert!(suite.try_get("assem", "D16x/16/3").is_ok());
-        let e = suite.try_trace("assem", Isa::D16x).unwrap_err();
+        let e = suite.cache_grid("assem", Isa::D16x).unwrap_err();
         assert!(
-            matches!(&e, SuiteError::MissingTrace { workload, isa }
+            matches!(&e, SuiteError::MissingGrid { workload, isa }
                 if workload == "assem" && isa == "D16x"),
             "{e:?}"
         );
@@ -546,13 +443,12 @@ mod tests {
             "{e:?}"
         );
         assert_eq!(e.to_string(), "cell (towers, D16/16/2) not collected");
-        let e = suite.try_trace("assem", Isa::D16).unwrap_err();
+        let e = suite.cache_grid("assem", Isa::D16).unwrap_err();
         assert!(
-            matches!(&e, SuiteError::MissingTrace { workload, isa }
+            matches!(&e, SuiteError::MissingGrid { workload, isa }
                 if workload == "assem" && isa == "D16"),
             "{e:?}"
         );
         assert!(e.to_string().contains("assem"), "{e}");
-        assert!(suite.cache_grid("assem", Isa::D16).is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! The `/v1/run` API: request parsing, the typed error → HTTP status
-//! mapping, and the compile → simulate → sweep execution path with its
+//! mapping, and the compile → simulate execution path (the simulation
+//! sweeps the cache grid in the same run when asked) with its
 //! store-backed response cache.
 //!
 //! Response bodies are **pure functions of the request**: no wall-clock
@@ -13,7 +14,7 @@ use d16_bench::json::Json;
 use d16_cc::{BuildError, OptLevel, TargetSpec};
 use d16_core::experiments::cache_grid_configs;
 use d16_core::measure::FUEL;
-use d16_sim::{Engine, PipelineSpec, Predictor, StopReason, TraceRecorder};
+use d16_sim::{Engine, PipelineSpec, Predictor, StopReason};
 use d16_store::{CacheKey, Reader, StableHasher, Store, Writer};
 use std::time::Instant;
 
@@ -39,7 +40,7 @@ pub struct RunRequest {
     pub engine: Engine,
     /// Instruction budget for the simulation.
     pub fuel: u64,
-    /// Whether to sweep the 20-config cache grid over the run's trace.
+    /// Whether the run also sweeps the 20-config cache grid.
     pub sweep: bool,
     /// Pipeline design point to retime the machine with. The default
     /// spec adds nothing to the cache key and nothing to the body, so
@@ -329,10 +330,9 @@ pub struct RunOutcome {
     pub cache_hit: bool,
     /// Wall time spent compiling (0 on a hit).
     pub compile_ns: u64,
-    /// Wall time spent simulating (0 on a hit).
+    /// Wall time spent simulating, cache-grid sweep included (0 on a
+    /// hit).
     pub execute_ns: u64,
-    /// Wall time spent sweeping the cache grid (0 on a hit / no sweep).
-    pub sweep_ns: u64,
 }
 
 /// The default per-request instruction budget (and the daemon's default
@@ -347,7 +347,7 @@ fn check_deadline(deadline: Instant) -> Result<(), ApiError> {
 }
 
 /// Serves one parsed run request: store lookup, else compile → simulate
-/// → (optional) sweep → commit. The deadline is checked between phases;
+/// (feeding the cache grid when asked) → commit. The deadline is checked between phases;
 /// a fuel budget bounds the simulation itself, so no phase runs
 /// unboundedly long.
 ///
@@ -369,13 +369,7 @@ pub fn run(
             // A cached run that needed more instructions than this
             // request's budget allows must re-run (and exhaust).
             if insns <= req.fuel {
-                return Ok(RunOutcome {
-                    body,
-                    cache_hit: true,
-                    compile_ns: 0,
-                    execute_ns: 0,
-                    sweep_ns: 0,
-                });
+                return Ok(RunOutcome { body, cache_hit: true, compile_ns: 0, execute_ns: 0 });
             }
         }
     }
@@ -400,10 +394,13 @@ pub fn run(
     if d16_testkit::faults::armed_for("serve-fuel-exhausted", &req.tag) {
         fuel = fuel.min(1_000);
     }
-    let mut rec = TraceRecorder::new();
+    let mut bank = if req.sweep {
+        Some(d16_core::Grid::bank().map_err(|e| ApiError::Internal(format!("cache config: {e}")))?)
+    } else {
+        None
+    };
     let t0 = Instant::now();
-    let run =
-        d16_core::measure::run(&image, req.pspec, req.engine, fuel, req.sweep.then_some(&mut rec));
+    let run = d16_core::measure::run(&image, req.pspec, req.engine, fuel, bank.as_mut());
     let execute_ns = t0.elapsed().as_nanos() as u64;
     let run = run.map_err(|e| ApiError::Internal(format!("simulator fault: {e}")))?;
     let exit = match run.stop {
@@ -412,14 +409,7 @@ pub fn run(
     };
     check_deadline(deadline)?;
 
-    let (sweep_json, sweep_ns) = if req.sweep {
-        if let Some(e) = rec.error() {
-            return Err(ApiError::Internal(format!("trace: {e}")));
-        }
-        let t0 = Instant::now();
-        let mut bank = d16_mem::CacheBank::symmetric(&cache_grid_configs())
-            .map_err(|e| ApiError::Internal(format!("cache config: {e}")))?;
-        rec.replay(&mut bank);
+    let sweep_json = if let Some(bank) = bank {
         let rows: Vec<Json> = bank
             .into_systems()
             .into_iter()
@@ -438,9 +428,9 @@ pub fn run(
                     .with("dc_bytes_out", d.bytes_out)
             })
             .collect();
-        (Json::Arr(rows), t0.elapsed().as_nanos() as u64)
+        Json::Arr(rows)
     } else {
-        (Json::Null, 0)
+        Json::Null
     };
 
     let stats = run.machine.stats();
@@ -495,7 +485,7 @@ pub fn run(
     if let Some(store) = store {
         store.put(SERVE_KIND, key, &encode_entry(insns, &body));
     }
-    Ok(RunOutcome { body, cache_hit: false, compile_ns, execute_ns, sweep_ns })
+    Ok(RunOutcome { body, cache_hit: false, compile_ns, execute_ns })
 }
 
 fn encode_entry(insns: u64, body: &[u8]) -> Vec<u8> {

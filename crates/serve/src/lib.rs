@@ -383,9 +383,6 @@ fn serve_run(shared: &Shared, body: &[u8], deadline: Instant, t0: Instant) -> Ru
             if !out.cache_hit {
                 record_span(shared, "serve.compile", out.compile_ns);
                 record_span(shared, "serve.execute", out.execute_ns);
-                if out.sweep_ns > 0 {
-                    record_span(shared, "serve.sweep", out.sweep_ns);
-                }
             }
             let headers = vec![
                 ("X-D16-Cache", if out.cache_hit { "hit" } else { "miss" }.to_string()),

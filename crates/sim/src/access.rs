@@ -1,8 +1,6 @@
 //! Memory-access observation: the interface between the pipeline and the
 //! memory-system models in `d16-mem`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Receives every memory reference the pipeline makes, in program order.
 ///
 /// Cache and fetch-buffer models implement this to measure traffic and miss
@@ -157,17 +155,14 @@ fn width_code(bytes: u8) -> Option<u8> {
 /// previous access of the same kind. Instruction streams are mostly
 /// sequential and data streams mostly local, so real traces land near one
 /// to two bytes per reference instead of the eight an enum vector costs —
-/// see [`TraceRecorder::memory_bytes`]. The recorder also counts replays
-/// ([`TraceRecorder::replay_count`]) so experiments can assert a trace was
-/// swept exactly once.
-#[derive(Debug, Default)]
+/// see [`TraceRecorder::memory_bytes`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceRecorder {
     bytes: Vec<u8>,
     len: usize,
     /// Expected next address per kind (previous addr + previous width);
     /// mirrors the decoder's state.
     next: [u32; 3],
-    replays: AtomicU64,
     /// First unencodable reference seen, if any. A recorder fed a width
     /// outside {1, 2, 4, 8} is *poisoned*: the bad record is dropped and
     /// the description kept, so the measurement layer reports a typed
@@ -195,11 +190,6 @@ impl TraceRecorder {
     /// capacity) — the figure the compact representation optimizes.
     pub fn memory_bytes(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// How many times [`TraceRecorder::replay`] has run over this trace.
-    pub fn replay_count(&self) -> u64 {
-        self.replays.load(Ordering::Relaxed)
     }
 
     /// The first unencodable reference this recorder was fed, if any.
@@ -260,9 +250,7 @@ impl TraceRecorder {
     /// The stream is fully walked up front — recovering the encoder's
     /// per-kind address state and validating every record — so a
     /// truncated or damaged stream is rejected here instead of
-    /// panicking inside a later [`TraceRecorder::replay`]. The replay
-    /// counter starts at zero: replays of the restored copy are new
-    /// work.
+    /// panicking inside a later [`TraceRecorder::replay`].
     ///
     /// # Errors
     ///
@@ -305,10 +293,10 @@ impl TraceRecorder {
         if count != len {
             return Err(format!("stream holds {count} records, expected {len}"));
         }
-        Ok(TraceRecorder { bytes, len, next, replays: AtomicU64::new(0), error: None })
+        Ok(TraceRecorder { bytes, len, next, error: None })
     }
 
-    /// Replays the trace into another sink and bumps the replay counter.
+    /// Replays the trace into another sink.
     pub fn replay(&self, sink: &mut impl AccessSink) {
         for a in self.iter() {
             match a {
@@ -317,30 +305,8 @@ impl TraceRecorder {
                 Access::Write(addr, b) => sink.write(addr, b),
             }
         }
-        self.replays.fetch_add(1, Ordering::Relaxed);
     }
 }
-
-impl Clone for TraceRecorder {
-    fn clone(&self) -> Self {
-        TraceRecorder {
-            bytes: self.bytes.clone(),
-            len: self.len,
-            next: self.next,
-            replays: AtomicU64::new(self.replay_count()),
-            error: self.error.clone(),
-        }
-    }
-}
-
-/// Equality is over the recorded references only; the replay counter is
-/// bookkeeping, not trace content.
-impl PartialEq for TraceRecorder {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.bytes == other.bytes
-    }
-}
-impl Eq for TraceRecorder {}
 
 impl AccessSink for TraceRecorder {
     #[inline]
@@ -419,8 +385,6 @@ mod tests {
         assert_eq!(v[1], Access::Read(0x2000, 2));
         assert_eq!(v[1].addr(), 0x2000);
         assert_eq!(v[2].bytes(), 1);
-        assert_eq!(r.replay_count(), 1);
-        assert_eq!(out.replay_count(), 0);
     }
 
     #[test]
@@ -470,10 +434,8 @@ mod tests {
         ] {
             r.push(a);
         }
-        r.replay(&mut NullSink);
         let restored = TraceRecorder::from_encoded(r.encoded_bytes().to_vec(), r.len()).unwrap();
-        assert_eq!(restored, r, "trace content equal");
-        assert_eq!(restored.replay_count(), 0, "replays are bookkeeping, not content");
+        assert_eq!(restored, r, "trace content and encoder state equal");
         // The recovered encoder state appends identically to the original.
         let (mut a, mut b) = (r, restored);
         a.push(Access::Fetch(0x4004, 4));
@@ -519,12 +481,11 @@ mod tests {
     fn clone_preserves_trace_and_counter() {
         let mut r = TraceRecorder::new();
         r.fetch(8, 4);
-        r.replay(&mut NullSink);
-        let c = r.clone();
+        let mut c = r.clone();
         assert_eq!(c, r);
-        assert_eq!(c.replay_count(), 1);
-        c.replay(&mut NullSink);
-        assert_eq!(c.replay_count(), 2);
-        assert_eq!(r.replay_count(), 1, "clones count replays independently");
+        assert_eq!(c.len(), 1, "the record counter is cloned");
+        c.fetch(12, 4);
+        assert_eq!((c.len(), r.len()), (2, 1), "clones record independently");
+        assert_ne!(c, r);
     }
 }

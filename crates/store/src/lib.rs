@@ -1,8 +1,8 @@
 //! # d16-store — content-addressed artifacts for incremental runs
 //!
 //! Every expensive product of the experiment pipeline — compiled images,
-//! per-cell [`Measurement`] rows, recorded access traces, cache-grid
-//! sweeps — is a pure function of (source text, target knobs, toolchain
+//! per-cell [`Measurement`] rows with their swept cache grids, derived
+//! sweep tables — is a pure function of (source text, target knobs, toolchain
 //! version). This crate persists those products on disk keyed by a
 //! stable content hash of exactly those inputs, so a rerun recomputes
 //! only what actually changed.

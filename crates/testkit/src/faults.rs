@@ -2,8 +2,8 @@
 //!
 //! A *failpoint* is a named site in library code that can be armed from
 //! the outside to simulate a failure the real world produces rarely —
-//! store I/O errors, a register allocator that fails to converge, a
-//! truncated access trace, an off-grid cache configuration. Armed
+//! store I/O errors, a register allocator that fails to converge, an
+//! off-grid cache configuration. Armed
 //! failpoints take the code down its *real* error path; nothing is
 //! mocked, so the CI `faults` stage can assert that a fault degrades a
 //! run (documented exit codes, stderr diagnostics, remaining cells
@@ -18,7 +18,7 @@
 //! ```text
 //! D16_FAILPOINTS=store-io                   repro --smoke --store DIR
 //! D16_FAILPOINTS=regalloc-diverge=ack       repro --only ackermann,towers
-//! D16_FAILPOINTS=trace-truncate=assem,off-grid-config   repro --smoke
+//! D16_FAILPOINTS=regalloc-diverge=lookup_sym,off-grid-config   repro --smoke
 //! ```
 //!
 //! With the variable unset (every production run), an armed-check is one
@@ -85,10 +85,10 @@ mod tests {
         assert_eq!(parse(""), vec![]);
         assert_eq!(parse("store-io"), vec![("store-io".to_string(), None)]);
         assert_eq!(
-            parse("regalloc-diverge=ack, trace-truncate=assem ,,off-grid-config"),
+            parse("regalloc-diverge=ack, smoke-drift=towers ,,off-grid-config"),
             vec![
                 ("regalloc-diverge".to_string(), Some("ack".to_string())),
-                ("trace-truncate".to_string(), Some("assem".to_string())),
+                ("smoke-drift".to_string(), Some("towers".to_string())),
                 ("off-grid-config".to_string(), None),
             ]
         );

@@ -6,28 +6,21 @@
 //! * the pipeline's per-stage / per-interlock-class counters reconcile
 //!   exactly with the `ExecStats` aggregates the paper's tables use;
 //! * the per-cache counters reconcile with `CacheStats`;
-//! * phase-span counts match the grid shape.
+//! * phase-span counts match the collection shape.
 
 use d16_bench::report;
 use d16_core::{base_specs, RunConfig, Suite};
 use d16_isa::Isa;
 use d16_workloads::Workload;
 
+/// Collects towers and assem on the two unrestricted machines; assem's
+/// cells sweep their cache grids, so the registry includes the grid
+/// counters.
 fn small_grid(jobs: usize) -> Suite {
     let ws: Vec<&Workload> =
         ["towers", "assem"].iter().map(|n| d16_workloads::by_name(n).expect("workload")).collect();
-    let suite = Suite::collect(&ws, &base_specs(), &RunConfig { jobs, ..RunConfig::default() })
-        .expect("collect");
-    // Warm every cache grid so the registry includes the sweep counters.
-    let keys: Vec<(String, Isa)> = suite
-        .traces
-        .keys()
-        .map(|(w, isa)| (w.clone(), if isa == "D16" { Isa::D16 } else { Isa::Dlxe }))
-        .collect();
-    for (w, isa) in keys {
-        suite.cache_grid(&w, isa).expect("grid");
-    }
-    suite
+    Suite::collect(&ws, &base_specs(), &RunConfig { jobs, ..RunConfig::default() })
+        .expect("collect")
 }
 
 #[test]
@@ -42,8 +35,8 @@ fn counter_dump_is_identical_across_job_counts() {
     let c4: Vec<(String, u64)> = r4.counters().map(|(k, v)| (k.to_string(), v)).collect();
     assert_eq!(c1, c4, "merged counters must not depend on --jobs");
     assert_eq!(
-        report::metrics_json(&r1, true, s1.cells.len(), s1.traces.len()).to_string(),
-        report::metrics_json(&r4, true, s4.cells.len(), s4.traces.len()).to_string(),
+        report::metrics_json(r1, true, s1.cells.len(), s1.grids.len()).to_string(),
+        report::metrics_json(r4, true, s4.cells.len(), s4.grids.len()).to_string(),
         "the full metrics document must be byte-identical"
     );
 }
@@ -76,13 +69,15 @@ fn cache_grid_counters_reconcile_and_cover_every_config() {
         let key = format!("grid.assem.D16.cfg.{}.icache.read.misses", sys.label());
         assert_eq!(reg.counter(&key), Some(sys.icache().read_misses), "{key}");
     }
-    // The sweep fed each trace record exactly once regardless of width.
-    let trace = suite.try_trace("assem", Isa::D16).expect("trace recorded");
-    let swept: u64 = ["fetches", "reads", "writes"]
-        .iter()
-        .map(|k| reg.counter(&format!("grid.assem.D16.sweep.{k}")).unwrap_or(0))
-        .sum();
-    assert_eq!(swept, trace.len() as u64);
+    // The sweep fed each access of the run exactly once regardless of
+    // width: one fetch per instruction, one read per load, one write per
+    // store.
+    let m = suite.try_get("assem", "D16/16/2").expect("cell");
+    let swept = |k: &str| reg.counter(&format!("grid.assem.D16.sweep.{k}")).unwrap_or(0);
+    assert_eq!(
+        (swept("fetches"), swept("reads"), swept("writes")),
+        (m.stats.insns, m.stats.loads, m.stats.stores)
+    );
 }
 
 #[test]
@@ -97,8 +92,6 @@ fn span_counts_match_the_grid_shape() {
     assert_eq!(cells.hist.samples(), cells.count, "one histogram sample per cell");
     assert!(cells.min_ns <= cells.max_ns);
     assert!(cells.total_ns >= cells.max_ns);
-    let sweeps = reg.span("suite.cache_grid.sweep").expect("sweep span");
-    assert_eq!(sweeps.count, suite.traces.len() as u64, "one sweep per trace, memoized");
 }
 
 #[test]

@@ -146,7 +146,7 @@ gate_store() {
     [ $((warm_ns * 3)) -le "$cold_ns" ]
     step "store: corrupt one entry; third run recomputes and still matches"
     local victim
-    victim=$(find "$tmp/store/cell" -name '*.bin' | sort | head -n 1)
+    victim=$(find "$tmp/store/cell" -name '*.bin' | sort | sed -n 1p)
     printf 'XXXX' | dd of="$victim" bs=1 seek=40 conv=notrunc status=none
     ./target/release/repro --all --store "$tmp/store" \
         --metrics-json "$tmp/m_third.json" >"$tmp/third.txt" 2>"$tmp/err_third.txt"
